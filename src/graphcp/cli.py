@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .conformal import ForestConfig, read_interval_series, run_conformal
-from .errors import ConfigError, GraphCPError
+from .errors import ConfigError, GraphCPError, ValidationError
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, fit, init_params, load_params, predict, save_params
 from .panel import DataSplit, load_graph, load_panel, split, write_graph, write_panel
@@ -140,6 +140,10 @@ def _cmd_predict(args) -> int:
     params = load_params(_require(doc, "params_file", args.config))
     if "range" in doc:
         lo, hi = (int(x) for x in doc["range"])
+        if not 1 <= lo <= hi <= panel.n_steps:
+            raise ValidationError(
+                f"{args.config}: range [{lo}, {hi}] is not within 1..{panel.n_steps}"
+            )
     else:
         data_split = _split_from(doc, panel)
         lo, hi = data_split.test

@@ -12,6 +12,13 @@ edgeless graph the two are bit-identical.
 Vanilla split conformal uses absolute residuals and the finite-sample rank
 ceil((1 - alpha) (n + 1)); Poisson intervals are equal-tail discrete
 quantiles of Poisson(rate).
+
+``run_conformal`` behaves as a step-by-step walk that emits every node's
+interval and then ingests the step's residuals into per-node ring buffers.
+Every residual it would ingest is known before the walk starts, so each
+method is computed from arrays instead: one Poisson call over all cells,
+one vanilla call per node over its sliding windows, and one forest query
+per (node, refit round) covering every step until the next refit.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
 )
 from .model import ModelParams, intensity
 from .panel import DataSplit, PanelDataset, ServiceGraph
-from .qrf import FittedForest, ForestConfig, fit_forest
+from .qrf import ForestConfig, fit_forest
 
 __all__ = [
     "METHODS",
@@ -49,6 +56,16 @@ __all__ = [
 METHODS = ("poisson", "vanilla", "temporal", "graph")
 
 
+def _check_window(capacity: int, window: int) -> None:
+    if capacity < 2:
+        raise InsufficientHistory(f"capacity must be >= 2, got {capacity}")
+    if not 1 <= window < capacity:
+        raise InsufficientHistory(
+            f"window must satisfy 1 <= window < capacity, got "
+            f"window={window}, capacity={capacity}"
+        )
+
+
 class ResidualHistory:
     """Per-node ring buffers of signed residuals, capped at ``capacity``.
 
@@ -58,13 +75,7 @@ class ResidualHistory:
     """
 
     def __init__(self, n_nodes: int, capacity: int, window: int):
-        if capacity < 2:
-            raise InsufficientHistory(f"capacity must be >= 2, got {capacity}")
-        if not 1 <= window < capacity:
-            raise InsufficientHistory(
-                f"window must satisfy 1 <= window < capacity, got "
-                f"window={window}, capacity={capacity}"
-            )
+        _check_window(capacity, window)
         self.capacity = int(capacity)
         self.window = int(window)
         self._buffers = [deque(maxlen=capacity) for _ in range(n_nodes)]
@@ -171,14 +182,17 @@ def read_interval_series(path) -> IntervalSeries:
 # --------------------------------------------------------------------------
 
 
-def vanilla_cp(residuals, alpha: float, point: float):
+def vanilla_cp(residuals, alpha: float, point):
     """Symmetric split-conformal interval from absolute residuals.
 
     The half-width is the ceil((1 - alpha)(n + 1))-th smallest absolute
-    residual, infinite when that rank exceeds n.
+    residual, infinite when that rank exceeds n.  ``residuals`` may hold
+    many windows of n residuals along its last axis, with ``point``
+    broadcasting against the others; one window and a scalar point give
+    floats.
     """
-    residuals = np.abs(np.asarray(residuals, dtype=np.float64).ravel())
-    n = residuals.shape[0]
+    residuals = np.abs(np.atleast_1d(np.asarray(residuals, dtype=np.float64)))
+    n = residuals.shape[-1]
     if n < 1:
         raise InsufficientHistory("vanilla interval needs at least one residual")
     if not 0.0 < alpha < 1.0:
@@ -186,32 +200,48 @@ def vanilla_cp(residuals, alpha: float, point: float):
     # the slack keeps e.g. 0.8 * 5 = 4.000000000000001 from ceiling to 5
     rank = int(math.ceil((1.0 - alpha) * (n + 1) - 1e-9))
     if rank > n:
-        half = math.inf
+        half = np.full(residuals.shape[:-1], math.inf)
     else:
-        half = float(np.partition(residuals, rank - 1)[rank - 1])
-    return point - half, point + half
-
-
-def poisson_interval(rate: float, alpha: float):
-    """Equal-tail discrete quantiles of Poisson(rate)."""
-    if not 0.0 < alpha < 1.0:
-        raise DimensionMismatch(f"alpha must lie in (0, 1), got {alpha}")
-    lower = float(stats.poisson.ppf(alpha / 2.0, rate))
-    upper = float(stats.poisson.ppf(1.0 - alpha / 2.0, rate))
+        half = np.partition(residuals, rank - 1, axis=-1)[..., rank - 1]
+    lower, upper = point - half, point + half
+    if residuals.ndim == 1 and np.ndim(point) == 0:
+        return float(lower), float(upper)
     return lower, upper
 
 
-def build_qrf_training_set(history: ResidualHistory, nodes, window: "int | None" = None):
+def poisson_interval(rate, alpha: float):
+    """Equal-tail discrete quantiles of Poisson(rate), elementwise over rates.
+
+    A scalar rate gives floats.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DimensionMismatch(f"alpha must lie in (0, 1), got {alpha}")
+    lower = stats.poisson.ppf(alpha / 2.0, rate)
+    upper = stats.poisson.ppf(1.0 - alpha / 2.0, rate)
+    if np.ndim(rate) == 0:
+        return float(lower), float(upper)
+    return lower, upper
+
+
+def build_qrf_training_set(history, nodes, window: "int | None" = None):
     """Pooled lagged-residual rows over the given nodes.
 
-    Each node with L residuals contributes L - window rows; features are
-    ``window`` consecutive residuals ordered newest first, the target is
-    the residual immediately after them.
+    ``history`` is a ResidualHistory, or a (K, L) array of every node's
+    buffered residuals, oldest to newest, in which case ``window`` is
+    required.  Each node with L residuals contributes L - window rows;
+    features are ``window`` consecutive residuals ordered newest first, the
+    target is the residual immediately after them.
     """
-    window = history.window if window is None else int(window)
+    if isinstance(history, ResidualHistory):
+        window = history.window if window is None else int(window)
+        series_of = history.values
+    else:
+        buffered = np.asarray(history, dtype=np.float64)
+        window = int(window)
+        series_of = buffered.__getitem__
     features, targets = [], []
     for node in sorted(int(n) for n in nodes):
-        series = history.values(node)
+        series = series_of(node)
         if series.shape[0] < window + 1:
             raise InsufficientHistory(
                 f"node {node} has {series.shape[0]} residuals, need {window + 1}"
@@ -222,10 +252,8 @@ def build_qrf_training_set(history: ResidualHistory, nodes, window: "int | None"
     return np.concatenate(features, axis=0), np.concatenate(targets, axis=0)
 
 
-def _interval_from_forest(forest: FittedForest, history, node, alpha, point):
-    query = history.latest_window(node)
-    q_low, q_high = forest.quantile(query, np.array([alpha / 2.0, 1.0 - alpha / 2.0]))
-    return point + float(q_low), point + float(q_high)
+def _quantile_levels(alpha: float) -> np.ndarray:
+    return np.array([alpha / 2.0, 1.0 - alpha / 2.0])
 
 
 def graph_cp_step(
@@ -239,7 +267,8 @@ def graph_cp_step(
     """One prediction step for one node: fit on N(node), query, widen around point."""
     features, targets = build_qrf_training_set(history, neighbors)
     forest = fit_forest(features, targets, forest_config)
-    return _interval_from_forest(forest, history, node, alpha, point)
+    q_low, q_high = forest.quantile(history.latest_window(node), _quantile_levels(alpha))
+    return point + float(q_low), point + float(q_high)
 
 
 # --------------------------------------------------------------------------
@@ -299,56 +328,68 @@ def run_conformal(
         if stride < 1:
             raise DimensionMismatch(f"retrain_stride must be >= 1, got {retrain_stride}")
 
+    window = int(window)
+    _check_window(calib_window, window)
+
     rates = intensity(panel, graph, params)
     counts = panel.counts
     k = panel.n_nodes
-
-    history = ResidualHistory(k, capacity=calib_window, window=window)
-    for t in range(cal_hi - calib_window + 1, cal_hi + 1):
-        for node in range(k):
-            history.append(node, counts[node, t - 1] - rates[node, t - 1])
-
-    if method == "graph":
-        pools = {j: sorted(graph.neighborhood(j)) for j in range(k)}
-    else:
-        pools = {j: [j] for j in range(k)}
-
     test_lo, test_hi = data_split.test
-    rec_node, rec_time, rec_point, rec_lower, rec_upper, rec_true = [], [], [], [], [], []
-    forests: dict[int, FittedForest] = {}
-    n_refits = 0
-    for step, t in enumerate(range(test_lo, test_hi + 1)):
-        if method in ("temporal", "graph"):
-            needs_fit = step == 0 if stride is None else step % stride == 0
-            if needs_fit:
-                for j in range(k):
-                    features, targets = build_qrf_training_set(history, pools[j])
-                    cfg = _derived_forest_config(forest_config, seed, j, n_refits)
-                    forests[j] = fit_forest(features, targets, cfg)
-                n_refits += 1
+    n_test = test_hi - test_lo + 1
+    points = rates[:, test_lo - 1 : test_hi]
+    # Every residual the walk ingests is known up front: at test step s the
+    # per-node buffers hold resid[:, s : s + calib_window], the warm-up
+    # residuals followed by those of the test steps before s.
+    first = test_lo - 1 - calib_window
+    resid = counts[:, first : test_hi - 1] - rates[:, first : test_hi - 1]
+
+    if method == "poisson":
+        lower, upper = poisson_interval(points, alpha)
+    elif method == "vanilla":
+        lower, upper = np.empty((k, n_test)), np.empty((k, n_test))
         for j in range(k):
-            point = float(rates[j, t - 1])
-            if method == "poisson":
-                lower, upper = poisson_interval(point, alpha)
-            elif method == "vanilla":
-                lower, upper = vanilla_cp(history.values(j), alpha, point)
-            else:
-                lower, upper = _interval_from_forest(forests[j], history, j, alpha, point)
-            rec_node.append(j)
-            rec_time.append(t)
-            rec_point.append(point)
-            rec_lower.append(lower)
-            rec_upper.append(upper)
-            rec_true.append(float(counts[j, t - 1]))
-        for j in range(k):
-            history.append(j, counts[j, t - 1] - rates[j, t - 1])
+            windows = np.lib.stride_tricks.sliding_window_view(resid[j], calib_window)
+            lower[j], upper[j] = vanilla_cp(windows, alpha, points[j])
+    else:
+        pools = [sorted(graph.neighborhood(j)) if method == "graph" else [j] for j in range(k)]
+        lower, upper = _forest_intervals(
+            resid, points, pools, alpha, window, calib_window, stride, forest_config, seed
+        )
 
     return IntervalSeries(
         method=method,
-        node=np.array(rec_node, dtype=np.int64),
-        time=np.array(rec_time, dtype=np.int64),
-        point=np.array(rec_point, dtype=np.float64),
-        lower=np.array(rec_lower, dtype=np.float64),
-        upper=np.array(rec_upper, dtype=np.float64),
-        y_true=np.array(rec_true, dtype=np.float64),
+        node=np.tile(np.arange(k, dtype=np.int64), n_test),
+        time=np.repeat(np.arange(test_lo, test_hi + 1, dtype=np.int64), k),
+        point=points.T.ravel(),
+        lower=lower.T.ravel(),
+        upper=upper.T.ravel(),
+        y_true=counts[:, test_lo - 1 : test_hi].T.ravel().astype(np.float64),
     )
+
+
+def _forest_intervals(
+    resid, points, pools, alpha, window, calib_window, stride, forest_config, seed
+):
+    """(K, n_test) interval bounds of a forest method; node j pools ``pools[j]``.
+
+    Each refit round fits one forest per node on the buffers at its first
+    step, then answers every step up to the next round in one query block.
+    """
+    k, n_test = points.shape
+    # row s + calib_window - window of a node's lags is the query at step s:
+    # the freshest ``window`` buffered residuals, newest first
+    lags = np.lib.stride_tricks.sliding_window_view(resid, window, axis=1)[:, :, ::-1]
+    offset = calib_window - window
+    levels = _quantile_levels(alpha)
+    starts = [0] if stride is None else list(range(0, n_test, stride))
+    lower, upper = np.empty((k, n_test)), np.empty((k, n_test))
+    for refit, (lo, hi) in enumerate(zip(starts, starts[1:] + [n_test])):
+        buffered = resid[:, lo : lo + calib_window]
+        for j in range(k):
+            features, targets = build_qrf_training_set(buffered, pools[j], window)
+            cfg = _derived_forest_config(forest_config, seed, j, refit)
+            forest = fit_forest(features, targets, cfg)
+            q = forest.quantile(lags[j, lo + offset : hi + offset], levels)
+            lower[j, lo:hi] = points[j, lo:hi] + q[:, 0]
+            upper[j, lo:hi] = points[j, lo:hi] + q[:, 1]
+    return lower, upper

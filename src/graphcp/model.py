@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionMismatch, NonFiniteLoss
+from .errors import ConfigError, DimensionMismatch, NonFiniteLoss
 from .panel import PanelDataset, ServiceGraph
 
 __all__ = [
@@ -698,6 +698,19 @@ class FitConfig:
     seed: int = 0
     checkpoint_tol: float = 1e-8
     max_retreats: int = 60
+
+    def __post_init__(self):
+        # a zero learning rate is allowed: the fit then returns its start
+        if not self.learning_rate >= 0:
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_len < 1:
+            raise ConfigError(f"batch_len must be >= 1, got {self.batch_len}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.max_retreats < 0:
+            raise ConfigError(f"max_retreats must be >= 0, got {self.max_retreats}")
 
 
 @dataclass

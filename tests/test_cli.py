@@ -181,34 +181,47 @@ def test_cli_stage_chain(tmp_path):
     assert len(violin_lines) == 1 + 2 * 5
 
 
-def test_predict_subcommand(tmp_path):
+def fitted_model(tmp_path):
+    """Simulate demo data and fit one epoch; returns the predict config's inputs."""
     data_dir = tmp_path / "data"
     sim_config = write_json(tmp_path / "sim.json", demo_scenario_doc(seed=6))
     cli_main(["simulate", "--config", sim_config, "--out", str(data_dir)])
-    fit_config = write_json(
-        tmp_path / "fit.json",
-        {
-            "graph_file": str(data_dir / "graph.csv"),
-            "weather_file": str(data_dir / "weather.csv"),
-            "counts_file": str(data_dir / "counts.csv"),
-            "optimizer": {"epochs": 1},
-        },
-    )
+    inputs = {
+        "graph_file": str(data_dir / "graph.csv"),
+        "weather_file": str(data_dir / "weather.csv"),
+        "counts_file": str(data_dir / "counts.csv"),
+    }
+    fit_config = write_json(tmp_path / "fit.json", {**inputs, "optimizer": {"epochs": 1}})
     cli_main(["fit", "--config", fit_config, "--out", str(tmp_path / "model")])
+    return {**inputs, "params_file": str(tmp_path / "model" / "params.json")}
+
+
+def test_predict_subcommand(tmp_path):
     predict_config = write_json(
-        tmp_path / "predict.json",
-        {
-            "graph_file": str(data_dir / "graph.csv"),
-            "weather_file": str(data_dir / "weather.csv"),
-            "counts_file": str(data_dir / "counts.csv"),
-            "params_file": str(tmp_path / "model" / "params.json"),
-            "range": [5, 8],
-        },
+        tmp_path / "predict.json", {**fitted_model(tmp_path), "range": [5, 8]}
     )
     assert cli_main(["predict", "--config", predict_config, "--out", str(tmp_path / "p")]) == 0
     lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()
     assert lines[0] == "node,time,f_hat"
     assert len(lines) == 1 + 5 * 4
+
+
+def test_predict_range_outside_panel_exits_4(tmp_path):
+    # T = 180: time 0 used to wrap to the last step's forecast, and a range
+    # past T used to end in an IndexError
+    inputs = fitted_model(tmp_path)
+    for bad in ([0, 2], [179, 181], [8, 5]):
+        config = write_json(tmp_path / "predict.json", {**inputs, "range": bad})
+        out = tmp_path / f"p{bad[0]}"
+        assert cli_main(["predict", "--config", config, "--out", str(out)]) == 4, bad
+        assert not (out / "predictions.csv").exists()
+
+
+def test_fit_zero_batch_len_exits_2(tmp_path):
+    inputs = fitted_model(tmp_path)
+    del inputs["params_file"]
+    config = write_json(tmp_path / "fit0.json", {**inputs, "optimizer": {"batch_len": 0}})
+    assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "m0")]) == 2
 
 
 # -------------------------------------------------------------- pipeline

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphcp.errors import DimensionMismatch, NonFiniteLoss
+from graphcp.errors import ConfigError, DimensionMismatch, NonFiniteLoss
 from graphcp.model import (
     INTENSITY_FLOOR,
     FitConfig,
@@ -328,6 +328,25 @@ def small_fit_instance(seed=0):
     )
     init = init_params(graph, 1, hidden=3, window=4, seed=seed)
     return graph, panel, init
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"batch_len": 0},
+        {"batch_len": -3},
+        {"epochs": -1},
+        {"learning_rate": -0.01},
+        {"learning_rate": float("nan")},
+        {"momentum": 1.0},
+        {"momentum": -0.1},
+        {"max_retreats": -1},
+    ],
+)
+def test_fit_config_rejects_out_of_range_values(bad):
+    # batch_len=0 used to make the block partition loop forever
+    with pytest.raises(ConfigError):
+        FitConfig(**bad)
 
 
 def test_fit_zero_learning_rate_returns_init_unchanged():
