@@ -15,12 +15,12 @@ import os
 import sys
 from pathlib import Path
 
-from .conformal import ForestConfig, read_interval_series, run_conformal
-from .errors import ConfigError, GraphCPError, ValidationError
+from .conformal import read_interval_series, run_conformal
+from .errors import ConfigError, GraphCPError, ValidationError, coerce
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, fit, init_params, load_params, predict, save_params
 from .panel import DataSplit, load_graph, load_panel, split, write_graph, write_panel
-from .pipeline import run_pipeline
+from .pipeline import forest_config, run_pipeline
 from .synth import ScenarioConfig, simulate
 
 log = logging.getLogger("graphcp")
@@ -36,10 +36,7 @@ def _setup_logging() -> None:
 
 
 def _load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -67,6 +64,12 @@ def _read_panel_inputs(doc: dict, where: str):
     panel = load_panel(weather, counts)
     graph = load_graph(_require(doc, "graph_file", where), n_nodes=panel.n_nodes)
     return panel, graph
+
+
+def _alpha(args, doc: dict) -> float:
+    if args.alpha is not None:
+        return args.alpha
+    return coerce(float, doc.get("alpha", 0.1), "alpha")
 
 
 def _split_from(doc: dict, panel) -> DataSplit:
@@ -108,21 +111,23 @@ def _cmd_fit(args) -> int:
     doc = _load_config(args.config)
     panel, graph = _read_panel_inputs(doc, args.config)
     data_split = _split_from(doc, panel)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else coerce(int, doc.get("seed", 0), "seed")
     init_doc = doc.get("init", {})
     init = init_params(
         graph,
         panel.n_vars,
-        hidden=int(init_doc.get("hidden", 8)),
-        window=int(init_doc.get("window", 96)),
+        hidden=coerce(int, init_doc.get("hidden", 8), "init.hidden"),
+        window=coerce(int, init_doc.get("window", 96), "init.window"),
         seed=seed,
     )
     opt = doc.get("optimizer", {})
     config = FitConfig(
-        learning_rate=float(opt.get("learning_rate", 1e-2)),
-        epochs=int(opt.get("epochs", 200)),
-        batch_len=int(opt.get("batch_len", 64)),
-        momentum=float(opt.get("momentum", 0.0)),
+        learning_rate=coerce(
+            float, opt.get("learning_rate", 1e-2), "optimizer.learning_rate"
+        ),
+        epochs=coerce(int, opt.get("epochs", 200), "optimizer.epochs"),
+        batch_len=coerce(int, opt.get("batch_len", 64), "optimizer.batch_len"),
+        momentum=coerce(float, opt.get("momentum", 0.0), "optimizer.momentum"),
         seed=seed,
     )
     result = fit(panel, graph, init, config, time_range=data_split.train)
@@ -139,7 +144,10 @@ def _cmd_predict(args) -> int:
     panel, graph = _read_panel_inputs(doc, args.config)
     params = load_params(_require(doc, "params_file", args.config))
     if "range" in doc:
-        lo, hi = (int(x) for x in doc["range"])
+        bounds = doc["range"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ConfigError(f"{args.config}: range must be [lo, hi], got {bounds!r}")
+        lo, hi = (coerce(int, x, "range") for x in bounds)
         if not 1 <= lo <= hi <= panel.n_steps:
             raise ValidationError(
                 f"{args.config}: range [{lo}, {hi}] is not within 1..{panel.n_steps}"
@@ -165,16 +173,9 @@ def _cmd_conformal(args) -> int:
     method = args.method or doc.get("method")
     if method is None:
         raise ConfigError("no --method given and none in the config")
-    alpha = args.alpha if args.alpha is not None else float(doc.get("alpha", 0.1))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    forest = ForestConfig(
-        n_trees=int(doc.get("forest", {}).get("n_trees", 100)),
-        max_depth=doc.get("forest", {}).get("max_depth"),
-        min_leaf=int(doc.get("forest", {}).get("min_leaf", 5)),
-        mtry=doc.get("forest", {}).get("mtry"),
-        bootstrap=bool(doc.get("forest", {}).get("bootstrap", True)),
-        seed=seed,
-    )
+    alpha = _alpha(args, doc)
+    seed = args.seed if args.seed is not None else coerce(int, doc.get("seed", 0), "seed")
+    forest = forest_config(doc.get("forest", {}), seed)
     series = run_conformal(
         panel,
         graph,
@@ -182,7 +183,7 @@ def _cmd_conformal(args) -> int:
         data_split,
         method,
         alpha=alpha,
-        window=int(doc.get("window", 20)),
+        window=coerce(int, doc.get("window", 20), "window"),
         calib_window=doc.get("calib_window"),
         retrain_stride=doc.get("retrain_stride", 1),
         forest_config=forest,
@@ -195,7 +196,7 @@ def _cmd_conformal(args) -> int:
 def _cmd_evaluate(args) -> int:
     doc = _load_config(args.config)
     files = _require(doc, "intervals_files", args.config)
-    alpha = args.alpha if args.alpha is not None else float(doc.get("alpha", 0.1))
+    alpha = _alpha(args, doc)
     reports = {}
     for file in files:
         series = read_interval_series(file)
@@ -219,7 +220,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_report(args) -> int:
     doc = _load_config(args.config)
     metrics = _load_config(_require(doc, "metrics_file", args.config))
-    alpha = args.alpha if args.alpha is not None else float(metrics.get("alpha", 0.1))
+    alpha = _alpha(args, metrics)
     reports = [
         MethodReport.from_dict(rep) for _, rep in sorted(metrics["methods"].items())
     ]
@@ -228,7 +229,9 @@ def _cmd_report(args) -> int:
     table = winner_table(
         reports,
         alpha=alpha,
-        outage_threshold=float(doc.get("outage_threshold", 50.0)),
+        outage_threshold=coerce(
+            float, doc.get("outage_threshold", 50.0), "outage_threshold"
+        ),
     )
     with (out / "winner.csv").open("w", encoding="utf-8", newline="") as handle:
         handle.write("method,win_fraction,wins,n_eligible\n")

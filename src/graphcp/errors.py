@@ -79,3 +79,11 @@ class InsufficientHistory(GraphCPError):
 
 class NoEligibleNodes(GraphCPError):
     """Winner table requested but no node clears the outage threshold."""
+
+
+def coerce(kind, value, what: str):
+    """``kind(value)`` for a config value; a wrong-typed value raises ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from exc

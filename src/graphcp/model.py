@@ -88,6 +88,12 @@ def _rate_chain(natural):
     return -np.expm1(-np.asarray(natural, dtype=np.float64))
 
 
+def _edge_index(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Source and destination index arrays of an iterable of (src, dst) pairs."""
+    pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     arr.setflags(write=False)
@@ -213,8 +219,8 @@ class ModelParams:
             raise DimensionMismatch(f"coupling keys {sorted(extra)} not in the graph")
         mat = np.zeros((self.n_nodes, self.n_nodes))
         np.fill_diagonal(mat, 1.0)
-        for (src, dst), value in self.coupling.items():
-            mat[dst, src] = value
+        src, dst = _edge_index(self.coupling)
+        mat[dst, src] = list(self.coupling.values())
         return mat
 
     def to_dict(self) -> dict:
@@ -298,11 +304,13 @@ def init_params(
 # --------------------------------------------------------------------------
 
 
-def cumulative_weather(weather: np.ndarray, weather_decay, window: int) -> np.ndarray:
+def cumulative_weather(weather: np.ndarray, weather_decay, window: int, *, _with_age=False):
     """Windowed exponentially-decayed sum of recent weather, per variable.
 
     A zero decay rate reduces to the plain window-d moving sum; indices
-    before the start of the series contribute nothing.
+    before the start of the series contribute nothing.  The gradient pass
+    sets the private ``_with_age`` flag to also get the age tensor
+    sum_s s * x[t-s] * exp(-rate * s), which is -d(cumulative)/d(rate).
     """
     weather = np.asarray(weather, dtype=np.float64)
     rates = np.atleast_1d(np.asarray(weather_decay, dtype=np.float64))
@@ -316,28 +324,17 @@ def cumulative_weather(weather: np.ndarray, weather_decay, window: int) -> np.nd
     if window < 1:
         raise DimensionMismatch(f"window must be >= 1, got {window}")
     out = np.empty_like(weather)
+    age = np.empty_like(weather) if _with_age else None
     eff = min(window, t_total)
     ages = np.arange(eff, dtype=np.float64)
     for m in range(n_vars):
         kernel = np.exp(-rates[m] * ages)
+        age_kernel = ages * kernel
         for i in range(k):
             out[i, :, m] = np.convolve(weather[i, :, m], kernel)[:t_total]
-    return out
-
-
-def _cumulative_weather_age(weather: np.ndarray, weather_decay, window: int) -> np.ndarray:
-    """Companion tensor sum_s s * x[t-s] * exp(-rate * s); -d(cumulative)/d(rate)."""
-    weather = np.asarray(weather, dtype=np.float64)
-    rates = np.atleast_1d(np.asarray(weather_decay, dtype=np.float64))
-    k, t_total, n_vars = weather.shape
-    out = np.empty_like(weather)
-    eff = min(window, t_total)
-    ages = np.arange(eff, dtype=np.float64)
-    for m in range(n_vars):
-        kernel = ages * np.exp(-rates[m] * ages)
-        for i in range(k):
-            out[i, :, m] = np.convolve(weather[i, :, m], kernel)[:t_total]
-    return out
+            if age is not None:
+                age[i, :, m] = np.convolve(weather[i, :, m], age_kernel)[:t_total]
+    return (out, age) if _with_age else out
 
 
 def weather_response(v, weights: ResponseWeights):
@@ -354,32 +351,39 @@ def weather_response(v, weights: ResponseWeights):
     return softplus(hidden @ weights.w_out + weights.b_out)
 
 
-def excitation(counts: np.ndarray, decay) -> np.ndarray:
-    """Per-node excitation series S (K, T) via the one-step recursion."""
+def excitation(counts: np.ndarray, decay, *, _with_sensitivity=False):
+    """Per-node excitation series S (K, T) via the one-step recursion.
+
+    The gradient pass sets the private ``_with_sensitivity`` flag to also
+    get dS/d(decay), which obeys
+
+        dS[j, t] = exp(-decay[j]) * (dS[j, t-1] + counts[j, t-1]) - S[j, t]
+    """
     counts = np.asarray(counts, dtype=np.float64)
     decay = np.atleast_1d(np.asarray(decay, dtype=np.float64))
     k, t_total = counts.shape
     if decay.shape != (k,):
         raise DimensionMismatch(f"{decay.shape[0]} decay rates for {k} nodes")
     damp = np.exp(-decay)
-    state = np.zeros((k, t_total))
-    for t in range(1, t_total):
-        state[:, t] = damp * (state[:, t - 1] + decay * counts[:, t - 1])
-    return state
-
-
-def _excitation_with_sensitivity(counts, decay):
-    """Excitation S and its per-node derivative dS/d(decay)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    decay = np.atleast_1d(np.asarray(decay, dtype=np.float64))
-    k, t_total = counts.shape
-    damp = np.exp(-decay)
-    state = np.zeros((k, t_total))
-    sens = np.zeros((k, t_total))
-    for t in range(1, t_total):
-        state[:, t] = damp * (state[:, t - 1] + decay * counts[:, t - 1])
-        sens[:, t] = -state[:, t] + damp * (sens[:, t - 1] + counts[:, t - 1])
-    return state, sens
+    # Time-major rows [S | dS]. Row t starts out holding step t-1's input,
+    # then two or three in-place ufunc calls finish it; each rounds exactly
+    # like the (K, T) form.
+    width = 2 * k if _with_sensitivity else k
+    state = np.zeros((t_total, width))
+    np.multiply(counts.T[:-1], decay, out=state[1:, :k])
+    if _with_sensitivity:
+        state[1:, k:] = counts.T[:-1]
+        damp = np.concatenate([damp, damp])
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    for prev, row, excite, sens in zip(state, state[1:], state[1:, :k], state[1:, k:]):
+        add(prev, row, out=row)
+        multiply(row, damp, out=row)
+        if _with_sensitivity:
+            subtract(sens, excite, out=sens)
+    excite = np.ascontiguousarray(state[:, :k].T)
+    if _with_sensitivity:
+        return excite, np.ascontiguousarray(state[:, k:].T)
+    return excite
 
 
 @dataclass(frozen=True)
@@ -392,14 +396,22 @@ class IntensityField:
 
 @dataclass
 class _Forward:
+    """One forward pass over the columns ``cols`` of the panel.
+
+    Operands of matrix products keep the full (K, T, ...) shape and are zero
+    outside the columns computed; element-wise results hold ``cols`` only.
+    """
+
+    cols: slice  # 0-based time columns of the pass
     v: np.ndarray  # (K, T, M) cumulative weather
+    v_age: "np.ndarray | None"  # (K, T, M) its age tensor
     hidden: np.ndarray  # (K, T, H) tanh activations
-    pre_out: np.ndarray  # (K, T) response pre-activation
-    response: np.ndarray  # (K, T)
-    excite: np.ndarray  # (K, T)
-    excite_sens: "np.ndarray | None"  # (K, T)
-    raw_rates: np.ndarray  # (K, T) before flooring
-    rates: np.ndarray  # (K, T)
+    excite: np.ndarray  # (K, T), computed up to cols.stop
+    excite_sens: "np.ndarray | None"  # (K, T), computed up to cols.stop
+    pre_out: np.ndarray  # (K, n) response pre-activation
+    response: np.ndarray  # (K, n)
+    raw_rates: np.ndarray  # (K, n) before flooring
+    rates: np.ndarray  # (K, n)
     mat: np.ndarray  # (K, K) coupling matrix
 
 
@@ -418,22 +430,63 @@ def _check_dims(panel: PanelDataset, graph: ServiceGraph, params: ModelParams) -
         )
 
 
-def _forward(panel, graph, params, with_sensitivity=False) -> _Forward:
+def _widen(part: np.ndarray, t_total: int, start: int) -> np.ndarray:
+    """``part`` placed at time columns ``start..`` of a (K, t_total, ...) zero array."""
+    if part.shape[1] == t_total:
+        return part
+    full = np.zeros((part.shape[0], t_total) + part.shape[2:])
+    full[:, start : start + part.shape[1]] = part
+    return full
+
+
+def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _Forward:
+    """Forward pass over the 1-based ``time_range`` (default: every step).
+
+    Only the steps the range reads are computed: the excitation recursion
+    up to the range's end, and the weather kernel over the range plus the
+    window before it.  The matrix products run on full-width operands, so
+    they round exactly as in a pass over the whole panel.
+    """
     _check_dims(panel, graph, params)
+    cols = _range_slice(panel, time_range)
+    t_total = panel.n_steps
     weights = params.response
-    v = cumulative_weather(panel.weather, params.weather_decay, params.window)
-    hidden = np.tanh(v @ weights.w_hidden.T + weights.b_hidden)
-    pre_out = hidden @ weights.w_out + weights.b_out
-    response = softplus(pre_out)
+    # Start the weather slice one kernel length before the range and keep it
+    # at least one kernel long: np.convolve then computes every column of the
+    # range from the same terms, in the same order, as on the whole series.
+    eff = min(params.window, t_total)
+    w_lo = max(cols.start - eff + 1, 0)
+    w_hi = min(max(cols.stop, w_lo + eff), t_total)
+    inner = slice(cols.start - w_lo, cols.stop - w_lo)
+    weather = panel.weather[:, w_lo:w_hi]
+    v_age = None
     if with_sensitivity:
-        excite, excite_sens = _excitation_with_sensitivity(panel.counts, params.decay)
+        v, v_age = cumulative_weather(
+            weather, params.weather_decay, params.window, _with_age=True
+        )
+        v_age = _widen(v_age[:, inner], t_total, cols.start)
     else:
-        excite = excitation(panel.counts, params.decay)
-        excite_sens = None
+        v = cumulative_weather(weather, params.weather_decay, params.window)
+    v = _widen(v[:, inner], t_total, cols.start)
+    hidden = v @ weights.w_hidden.T
+    np.tanh(hidden[:, cols] + weights.b_hidden, out=hidden[:, cols])
+    pre_out = (hidden @ weights.w_out)[:, cols] + weights.b_out
+    response = softplus(pre_out)
+    counts = panel.counts[:, : cols.stop]
+    excite_sens = None
+    if with_sensitivity:
+        excite, excite_sens = excitation(counts, params.decay, _with_sensitivity=True)
+        excite_sens = _widen(excite_sens, t_total, 0)
+    else:
+        excite = excitation(counts, params.decay)
+    excite = _widen(excite, t_total, 0)
     mat = params.coupling_matrix(graph)
-    raw_rates = params.scale[:, None] * response + mat @ excite
+    raw_rates = params.scale[:, None] * response + (mat @ excite)[:, cols]
     rates = np.maximum(raw_rates, INTENSITY_FLOOR)
-    return _Forward(v, hidden, pre_out, response, excite, excite_sens, raw_rates, rates, mat)
+    return _Forward(
+        cols, v, v_age, hidden, excite, excite_sens,
+        pre_out, response, raw_rates, rates, mat,
+    )
 
 
 def intensity(
@@ -476,9 +529,9 @@ def _range_slice(panel: PanelDataset, time_range) -> slice:
 
 def log_likelihood(panel, graph, params, time_range=None) -> float:
     """Poisson log-likelihood (up to the count factorial) over a 1-based range."""
-    sl = _range_slice(panel, time_range)
-    rates = _forward(panel, graph, params).rates[:, sl]
-    counts = panel.counts[:, sl]
+    fwd = _forward(panel, graph, params, time_range)
+    rates = fwd.rates
+    counts = panel.counts[:, fwd.cols]
     with np.errstate(over="ignore"):  # absurd rates legitimately drive this to -inf
         return float(-np.sum(rates - counts * np.log(rates)))
 
@@ -498,6 +551,7 @@ class ParamPacker:
 
     def __init__(self, graph: ServiceGraph, n_vars: int, hidden: int):
         self.edge_order: list[tuple[int, int]] = graph.edge_pairs()
+        self.edge_src, self.edge_dst = _edge_index(self.edge_order)
         self.n_nodes = graph.n_nodes
         self.n_vars = n_vars
         self.hidden = hidden
@@ -625,14 +679,14 @@ def likelihood_gradient(
     """
     if packer is None:
         packer = ParamPacker(graph, params.n_vars, params.response.hidden_units)
-    sl = _range_slice(panel, time_range)
-    fwd = _forward(panel, graph, params, with_sensitivity=True)
+    fwd = _forward(panel, graph, params, time_range, with_sensitivity=True)
+    sl = fwd.cols
     counts = panel.counts[:, sl].astype(np.float64)
-    rates = fwd.rates[:, sl]
-    active = fwd.raw_rates[:, sl] > INTENSITY_FLOOR
+    rates = fwd.rates
+    active = fwd.raw_rates > INTENSITY_FLOOR
     dll_drate = np.where(active, counts / rates - 1.0, 0.0)
 
-    resp = fwd.response[:, sl]
+    resp = fwd.response
     hidden = fwd.hidden[:, sl, :]
     v = fwd.v[:, sl, :]
     excite = fwd.excite[:, sl]
@@ -642,13 +696,13 @@ def likelihood_gradient(
     d_scale = np.sum(dll_drate * resp, axis=1)
     # coupling: cross matrix G[dst, src] = sum_t dll_drate[dst, t] * S[src, t]
     cross = dll_drate @ excite.T
-    d_coupling = np.array([cross[dst, src] for src, dst in packer.edge_order])
+    d_coupling = cross[packer.edge_dst, packer.edge_src]
     # decay[j] feeds every node that pools j, weighted by the coupling
     pooled = fwd.mat.T @ dll_drate
     d_decay = np.sum(excite_sens * pooled, axis=1)
 
     d_resp = dll_drate * params.scale[:, None]
-    sig = expit(fwd.pre_out[:, sl])
+    sig = expit(fwd.pre_out)
     g_out = d_resp * sig
     d_w_out = np.einsum("kt,kth->h", g_out, hidden)
     d_b_out = float(np.sum(g_out))
@@ -656,8 +710,7 @@ def likelihood_gradient(
     d_w_hidden = np.einsum("kth,ktm->hm", g_hidden, v)
     d_b_hidden = np.sum(g_hidden, axis=(0, 1))
     d_v = g_hidden @ weights.w_hidden
-    v_age = _cumulative_weather_age(panel.weather, params.weather_decay, params.window)
-    d_weather_decay = -np.einsum("ktm,ktm->m", d_v, v_age[:, sl, :])
+    d_weather_decay = -np.einsum("ktm,ktm->m", d_v, fwd.v_age[:, sl, :])
 
     grad = np.empty(packer.size)
     grad[packer.slices["coupling"]] = d_coupling * _rate_chain(

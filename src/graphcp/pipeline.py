@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .conformal import ForestConfig, IntervalSeries, run_conformal
-from .errors import ConfigError, NoEligibleNodes
+from .errors import ConfigError, NoEligibleNodes, coerce
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, FitResult, fit, init_params, save_params
 from .panel import DataSplit, PanelDataset, ServiceGraph, split, write_graph, write_panel
@@ -39,11 +39,12 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _forest_config(doc: dict, seed: int) -> ForestConfig:
+def forest_config(doc: dict, seed: int) -> ForestConfig:
+    """ForestConfig from the ``forest`` section of a pipeline or CLI config."""
     return ForestConfig(
-        n_trees=int(doc.get("n_trees", 100)),
+        n_trees=coerce(int, doc.get("n_trees", 100), "forest.n_trees"),
         max_depth=doc.get("max_depth"),
-        min_leaf=int(doc.get("min_leaf", 5)),
+        min_leaf=coerce(int, doc.get("min_leaf", 5), "forest.min_leaf"),
         mtry=doc.get("mtry"),
         bootstrap=bool(doc.get("bootstrap", True)),
         seed=seed,
@@ -53,7 +54,7 @@ def _forest_config(doc: dict, seed: int) -> ForestConfig:
 def run_pipeline(config: dict, out_dir) -> PipelineResult:
     """Run every stage described by the config dict under ``out_dir``."""
     out = Path(out_dir)
-    seed = int(config.get("seed", 0))
+    seed = coerce(int, config.get("seed", 0), "seed")
 
     scenario_doc = dict(_require(config, "scenario"))
     scenario_doc["seed"] = seed
@@ -90,15 +91,17 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
     init = init_params(
         graph,
         panel.n_vars,
-        hidden=int(fit_doc.get("hidden", 8)),
-        window=int(fit_doc.get("window", scenario.params.window)),
+        hidden=coerce(int, fit_doc.get("hidden", 8), "fit.hidden"),
+        window=coerce(int, fit_doc.get("window", scenario.params.window), "fit.window"),
         seed=seed + 1,
     )
     fit_config = FitConfig(
-        learning_rate=float(fit_doc.get("learning_rate", 1e-2)),
-        epochs=int(fit_doc.get("epochs", 200)),
-        batch_len=int(fit_doc.get("batch_len", 64)),
-        momentum=float(fit_doc.get("momentum", 0.0)),
+        learning_rate=coerce(
+            float, fit_doc.get("learning_rate", 1e-2), "fit.learning_rate"
+        ),
+        epochs=coerce(int, fit_doc.get("epochs", 200), "fit.epochs"),
+        batch_len=coerce(int, fit_doc.get("batch_len", 64), "fit.batch_len"),
+        momentum=coerce(float, fit_doc.get("momentum", 0.0), "fit.momentum"),
         seed=seed + 2,
     )
     fit_result = fit(panel, graph, init, fit_config, time_range=data_split.train)
@@ -108,11 +111,13 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
 
     conf_doc = dict(config.get("conformal", {}))
     methods = list(conf_doc.get("methods", ("poisson", "temporal", "graph")))
-    alpha = float(conf_doc.get("alpha", 0.1))
-    window = int(conf_doc.get("window", 20))
+    alpha = coerce(float, conf_doc.get("alpha", 0.1), "conformal.alpha")
+    window = coerce(int, conf_doc.get("window", 20), "conformal.window")
     calib_window = conf_doc.get("calib_window")
+    if calib_window is not None:
+        calib_window = coerce(int, calib_window, "conformal.calib_window")
     stride = conf_doc.get("retrain_stride", 1)
-    forest_config = _forest_config(conf_doc.get("forest", {}), seed + 3)
+    forests = forest_config(conf_doc.get("forest", {}), seed + 3)
 
     intervals_dir = out / "intervals"
     intervals_dir.mkdir(parents=True, exist_ok=True)
@@ -127,9 +132,9 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
             method,
             alpha=alpha,
             window=window,
-            calib_window=None if calib_window is None else int(calib_window),
+            calib_window=calib_window,
             retrain_stride=stride,
-            forest_config=forest_config,
+            forest_config=forests,
         )
         one.to_csv(intervals_dir / f"intervals_{method}.csv")
         series[method] = one
@@ -149,7 +154,9 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
 
     winner = None
     if len(reports) >= 2:
-        threshold = float(eval_doc.get("outage_threshold", 50.0))
+        threshold = coerce(
+            float, eval_doc.get("outage_threshold", 50.0), "evaluate.outage_threshold"
+        )
         try:
             winner = winner_table(reports.values(), alpha=alpha, outage_threshold=threshold)
         except NoEligibleNodes:

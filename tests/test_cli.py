@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from graphcp.cli import cli_main
 from graphcp.conformal import read_interval_series
@@ -222,6 +223,25 @@ def test_fit_zero_batch_len_exits_2(tmp_path):
     del inputs["params_file"]
     config = write_json(tmp_path / "fit0.json", {**inputs, "optimizer": {"batch_len": 0}})
     assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "m0")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("fit", {"optimizer": {"epochs": "ten"}}),
+        ("conformal", {"method": "poisson", "window": "x"}),
+        ("predict", {"range": ["five", 8]}),
+        ("pipeline", {"fit": {"epochs": "ten"}}),
+    ],
+)
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, bad):
+    # int("ten") used to escape cli_main as a ValueError (exit 1, traceback)
+    doc = pipeline_doc(seed=1) if command == "pipeline" else fitted_model(tmp_path)
+    config = write_json(tmp_path / "bad.json", {**doc, **bad})
+    capsys.readouterr()
+    assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 # -------------------------------------------------------------- pipeline

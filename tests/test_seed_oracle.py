@@ -7,6 +7,11 @@ per-(step, node) interval loop over deque ring buffers with scalar Poisson
 and vanilla intervals.  The tests assert that the array trees, the batched
 queries and the batched run_conformal give bit-identical trees, quantiles and
 interval columns.
+
+The second half holds the original model layer, which runs the weather
+convolutions and the excitation recursions over the whole panel for every
+likelihood and gradient call.  The tests assert that the block-local pass
+gives bit-identical values, gradients and fits.
 """
 
 import math
@@ -15,10 +20,28 @@ from collections import deque
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
+from graphcp import model
 from graphcp.conformal import run_conformal
 from graphcp.errors import InsufficientHistory
-from graphcp.model import intensity
+from graphcp.model import (
+    INTENSITY_FLOOR,
+    FitConfig,
+    ModelParams,
+    ParamPacker,
+    ResponseWeights,
+    _range_slice,
+    _rate_chain,
+    cumulative_weather,
+    excitation,
+    fit,
+    intensity,
+    likelihood_gradient,
+    log_likelihood,
+    softplus,
+)
+from graphcp.panel import PanelDataset, ServiceGraph
 from graphcp.qrf import ForestConfig, fit_forest
 from tests.test_conformal import small_setup
 
@@ -387,3 +410,245 @@ def test_batched_vanilla_infinite_rank_matches_oracle():
     assert np.all(np.isinf(series.upper))
     for name, column in expected.items():
         assert np.array_equal(getattr(series, name), column), name
+
+
+# --------------------------------------------------------------------------
+# Oracle model layer: whole-panel forward pass, per-column Python loops
+# --------------------------------------------------------------------------
+
+
+def oracle_cumulative_weather(weather, weather_decay, window):
+    weather = np.asarray(weather, dtype=np.float64)
+    rates = np.atleast_1d(np.asarray(weather_decay, dtype=np.float64))
+    k, t_total, n_vars = weather.shape
+    out = np.empty_like(weather)
+    eff = min(window, t_total)
+    ages = np.arange(eff, dtype=np.float64)
+    for m in range(n_vars):
+        kernel = np.exp(-rates[m] * ages)
+        for i in range(k):
+            out[i, :, m] = np.convolve(weather[i, :, m], kernel)[:t_total]
+    return out
+
+
+def oracle_cumulative_weather_age(weather, weather_decay, window):
+    weather = np.asarray(weather, dtype=np.float64)
+    rates = np.atleast_1d(np.asarray(weather_decay, dtype=np.float64))
+    k, t_total, n_vars = weather.shape
+    out = np.empty_like(weather)
+    eff = min(window, t_total)
+    ages = np.arange(eff, dtype=np.float64)
+    for m in range(n_vars):
+        kernel = ages * np.exp(-rates[m] * ages)
+        for i in range(k):
+            out[i, :, m] = np.convolve(weather[i, :, m], kernel)[:t_total]
+    return out
+
+
+def oracle_excitation(counts, decay):
+    counts = np.asarray(counts, dtype=np.float64)
+    decay = np.atleast_1d(np.asarray(decay, dtype=np.float64))
+    k, t_total = counts.shape
+    damp = np.exp(-decay)
+    state = np.zeros((k, t_total))
+    for t in range(1, t_total):
+        state[:, t] = damp * (state[:, t - 1] + decay * counts[:, t - 1])
+    return state
+
+
+def oracle_excitation_with_sensitivity(counts, decay):
+    counts = np.asarray(counts, dtype=np.float64)
+    decay = np.atleast_1d(np.asarray(decay, dtype=np.float64))
+    k, t_total = counts.shape
+    damp = np.exp(-decay)
+    state = np.zeros((k, t_total))
+    sens = np.zeros((k, t_total))
+    for t in range(1, t_total):
+        state[:, t] = damp * (state[:, t - 1] + decay * counts[:, t - 1])
+        sens[:, t] = -state[:, t] + damp * (sens[:, t - 1] + counts[:, t - 1])
+    return state, sens
+
+
+def oracle_coupling_matrix(params, graph):
+    mat = np.zeros((params.n_nodes, params.n_nodes))
+    np.fill_diagonal(mat, 1.0)
+    for (src, dst), value in params.coupling.items():
+        mat[dst, src] = value
+    return mat
+
+
+def oracle_forward(panel, graph, params, with_sensitivity=False):
+    weights = params.response
+    v = oracle_cumulative_weather(panel.weather, params.weather_decay, params.window)
+    hidden = np.tanh(v @ weights.w_hidden.T + weights.b_hidden)
+    pre_out = hidden @ weights.w_out + weights.b_out
+    response = softplus(pre_out)
+    if with_sensitivity:
+        excite, excite_sens = oracle_excitation_with_sensitivity(panel.counts, params.decay)
+    else:
+        excite = oracle_excitation(panel.counts, params.decay)
+        excite_sens = None
+    mat = oracle_coupling_matrix(params, graph)
+    raw_rates = params.scale[:, None] * response + mat @ excite
+    rates = np.maximum(raw_rates, INTENSITY_FLOOR)
+    return dict(
+        v=v, hidden=hidden, pre_out=pre_out, response=response, excite=excite,
+        excite_sens=excite_sens, raw_rates=raw_rates, rates=rates, mat=mat,
+    )
+
+
+def oracle_log_likelihood(panel, graph, params, time_range=None):
+    sl = _range_slice(panel, time_range)
+    rates = oracle_forward(panel, graph, params)["rates"][:, sl]
+    counts = panel.counts[:, sl]
+    with np.errstate(over="ignore"):
+        return float(-np.sum(rates - counts * np.log(rates)))
+
+
+def oracle_likelihood_gradient(panel, graph, params, time_range=None, packer=None):
+    if packer is None:
+        packer = ParamPacker(graph, params.n_vars, params.response.hidden_units)
+    sl = _range_slice(panel, time_range)
+    fwd = oracle_forward(panel, graph, params, with_sensitivity=True)
+    counts = panel.counts[:, sl].astype(np.float64)
+    rates = fwd["rates"][:, sl]
+    active = fwd["raw_rates"][:, sl] > INTENSITY_FLOOR
+    dll_drate = np.where(active, counts / rates - 1.0, 0.0)
+
+    resp = fwd["response"][:, sl]
+    hidden = fwd["hidden"][:, sl, :]
+    v = fwd["v"][:, sl, :]
+    excite = fwd["excite"][:, sl]
+    excite_sens = fwd["excite_sens"][:, sl]
+    weights = params.response
+
+    d_scale = np.sum(dll_drate * resp, axis=1)
+    cross = dll_drate @ excite.T
+    d_coupling = np.array([cross[dst, src] for src, dst in packer.edge_order])
+    pooled = fwd["mat"].T @ dll_drate
+    d_decay = np.sum(excite_sens * pooled, axis=1)
+
+    d_resp = dll_drate * params.scale[:, None]
+    sig = expit(fwd["pre_out"][:, sl])
+    g_out = d_resp * sig
+    d_w_out = np.einsum("kt,kth->h", g_out, hidden)
+    d_b_out = float(np.sum(g_out))
+    g_hidden = g_out[:, :, None] * weights.w_out * (1.0 - hidden**2)
+    d_w_hidden = np.einsum("kth,ktm->hm", g_hidden, v)
+    d_b_hidden = np.sum(g_hidden, axis=(0, 1))
+    d_v = g_hidden @ weights.w_hidden
+    v_age = oracle_cumulative_weather_age(
+        panel.weather, params.weather_decay, params.window
+    )
+    d_weather_decay = -np.einsum("ktm,ktm->m", d_v, v_age[:, sl, :])
+
+    grad = np.empty(packer.size)
+    grad[packer.slices["coupling"]] = d_coupling * _rate_chain(
+        np.array([params.coupling[e] for e in packer.edge_order])
+    )
+    grad[packer.slices["decay"]] = d_decay * _rate_chain(params.decay)
+    grad[packer.slices["scale"]] = d_scale * _rate_chain(params.scale)
+    grad[packer.slices["weather_decay"]] = d_weather_decay * _rate_chain(
+        params.weather_decay
+    )
+    grad[packer.slices["w_hidden"]] = d_w_hidden.ravel()
+    grad[packer.slices["b_hidden"]] = d_b_hidden
+    grad[packer.slices["w_out"]] = d_w_out
+    grad[packer.slices["b_out"]] = d_b_out
+    return grad
+
+
+def random_model_instance(rng, k, t_total, window, n_vars=2, hidden=3,
+                          zero_decay=False, zero_counts=False):
+    """A random graph, panel and nonnegative parameter set."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    chosen = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < 0.4)]
+    edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in chosen]
+    graph = ServiceGraph.from_edges(k, edges)
+    counts = np.zeros((k, t_total), dtype=int)
+    if not zero_counts:
+        counts = rng.poisson(rng.uniform(0.2, 4.0), size=(k, t_total))
+    panel = PanelDataset.build(rng.normal(size=(k, t_total, n_vars)) * 2.0, counts)
+    params = ModelParams(
+        coupling={e: float(rng.uniform(0.0, 0.6)) for e in graph.edge_pairs()},
+        decay=np.zeros(k) if zero_decay else rng.uniform(0.05, 2.0, k),
+        scale=rng.uniform(0.1, 3.0, k),
+        weather_decay=rng.uniform(0.0, 1.0, n_vars),
+        response=ResponseWeights.random(hidden, n_vars, rng, scale=0.8),
+        window=window,
+    )
+    return panel, graph, params
+
+
+def model_blocks(t_total, window):
+    """1-based blocks: the whole panel, lo=1, hi=T, one step, shorter than window."""
+    short = max(1, min(window - 1, t_total) // 2)
+    mid = t_total // 2 + 1
+    blocks = {(1, t_total), (1, max(1, t_total // 3)), (mid, t_total), (mid, mid),
+              (1, 1), (t_total, t_total), (mid, min(t_total, mid + short - 1))}
+    return sorted(blocks)
+
+
+MODEL_CASES = [
+    # (K, T, window, zero_decay, zero_counts)
+    (1, 40, 6, False, False),
+    (5, 70, 24, False, False),
+    (20, 90, 12, False, False),
+    (5, 30, 45, False, False),  # window > T
+    (5, 50, 8, True, False),  # zero decay
+    (5, 50, 8, False, True),  # all-zero counts
+    (20, 33, 1, False, False),  # window of one step
+]
+
+
+@pytest.mark.parametrize("k, t_total, window, zero_decay, zero_counts", MODEL_CASES)
+def test_model_layer_matches_whole_panel_oracle(
+    k, t_total, window, zero_decay, zero_counts
+):
+    rng = np.random.default_rng(1000 * k + t_total + window)
+    panel, graph, params = random_model_instance(
+        rng, k, t_total, window, zero_decay=zero_decay, zero_counts=zero_counts
+    )
+    weather, rates = panel.weather, params.weather_decay
+    want_v = oracle_cumulative_weather(weather, rates, window)
+    v, v_age = cumulative_weather(weather, rates, window, _with_age=True)
+    assert np.array_equal(cumulative_weather(weather, rates, window), want_v)
+    assert np.array_equal(v, want_v)
+    assert np.array_equal(v_age, oracle_cumulative_weather_age(weather, rates, window))
+    excite, sens = excitation(panel.counts, params.decay, _with_sensitivity=True)
+    want_excite, want_sens = oracle_excitation_with_sensitivity(panel.counts, params.decay)
+    assert np.array_equal(excite, want_excite) and np.array_equal(sens, want_sens)
+    assert np.array_equal(excitation(panel.counts, params.decay),
+                          oracle_excitation(panel.counts, params.decay))
+    assert np.array_equal(
+        params.coupling_matrix(graph), oracle_coupling_matrix(params, graph)
+    )
+    assert np.array_equal(intensity(panel, graph, params),
+                          oracle_forward(panel, graph, params)["rates"])
+
+    packer = ParamPacker(graph, params.n_vars, params.response.hidden_units)
+    blocks = [None] + model_blocks(t_total, window)
+    for block in blocks:
+        got = log_likelihood(panel, graph, params, block)
+        want = oracle_log_likelihood(panel, graph, params, block)
+        assert got == want or (math.isnan(got) and math.isnan(want)), block
+        grad = likelihood_gradient(panel, graph, params, block, packer)
+        assert np.array_equal(
+            grad, oracle_likelihood_gradient(panel, graph, params, block, packer)
+        ), block
+
+
+def test_fit_matches_oracle_fit(monkeypatch):
+    """A storm-like fit (momentum, blocks, train range) gives the oracle's bits."""
+    rng = np.random.default_rng(7)
+    panel, graph, params = random_model_instance(rng, 6, 150, 24, hidden=4)
+    config = FitConfig(learning_rate=2e-2, epochs=6, batch_len=20, momentum=0.9, seed=3)
+    got = fit(panel, graph, params, config, time_range=(1, 50))
+    monkeypatch.setattr(model, "log_likelihood", oracle_log_likelihood)
+    monkeypatch.setattr(model, "likelihood_gradient", oracle_likelihood_gradient)
+    want = fit(panel, graph, params, config, time_range=(1, 50))
+    assert got.checkpoints[-1] > got.checkpoints[0]
+    assert np.array_equal(got.checkpoints, want.checkpoints)
+    assert got.n_retreats == want.n_retreats
+    assert got.learning_rate_final == want.learning_rate_final
+    assert got.params.to_dict() == want.params.to_dict()
