@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .conformal import read_interval_series, run_conformal
-from .errors import ConfigError, GraphCPError, ValidationError, coerce
+from .errors import ConfigError, GraphCPError, ValidationError, coerce, section
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, fit, init_params, load_params, predict, save_params
 from .panel import DataSplit, load_graph, load_panel, split, write_graph, write_panel
@@ -79,7 +79,7 @@ def _split_from(doc: dict, panel) -> DataSplit:
 
 def _cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    scenario_doc = doc.get("scenario", doc)
+    scenario_doc = section(doc, "scenario") if "scenario" in doc else doc
     if args.seed is not None:
         scenario_doc = dict(scenario_doc)
         scenario_doc["seed"] = args.seed
@@ -112,7 +112,7 @@ def _cmd_fit(args) -> int:
     panel, graph = _read_panel_inputs(doc, args.config)
     data_split = _split_from(doc, panel)
     seed = args.seed if args.seed is not None else coerce(int, doc.get("seed", 0), "seed")
-    init_doc = doc.get("init", {})
+    init_doc = section(doc, "init")
     init = init_params(
         graph,
         panel.n_vars,
@@ -120,7 +120,7 @@ def _cmd_fit(args) -> int:
         window=coerce(int, init_doc.get("window", 96), "init.window"),
         seed=seed,
     )
-    opt = doc.get("optimizer", {})
+    opt = section(doc, "optimizer")
     config = FitConfig(
         learning_rate=coerce(
             float, opt.get("learning_rate", 1e-2), "optimizer.learning_rate"
@@ -175,7 +175,7 @@ def _cmd_conformal(args) -> int:
         raise ConfigError("no --method given and none in the config")
     alpha = _alpha(args, doc)
     seed = args.seed if args.seed is not None else coerce(int, doc.get("seed", 0), "seed")
-    forest = forest_config(doc.get("forest", {}), seed)
+    forest = forest_config(section(doc, "forest"), seed)
     series = run_conformal(
         panel,
         graph,

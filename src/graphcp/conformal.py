@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -38,7 +37,7 @@ from .errors import (
     UnknownMethod,
 )
 from .model import ModelParams, intensity
-from .panel import DataSplit, PanelDataset, ServiceGraph
+from .panel import DataSplit, PanelDataset, ServiceGraph, read_table, write_csv
 from .qrf import ForestConfig, fit_forest
 
 __all__ = [
@@ -54,6 +53,20 @@ __all__ = [
 ]
 
 METHODS = ("poisson", "vanilla", "temporal", "graph")
+
+# one interval file row; the header names these fields
+_INTERVAL_ROW = np.dtype(
+    [
+        ("method", object),
+        ("node", np.int64),
+        ("time", np.int64),
+        ("point", np.float64),
+        ("lower", np.float64),
+        ("upper", np.float64),
+        ("y_true", np.float64),
+    ]
+)
+_ROWS_PER_WRITE = 1 << 16
 
 
 def _check_window(capacity: int, window: int) -> None:
@@ -130,50 +143,34 @@ class IntervalSeries:
         return self.node.shape[0]
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            handle.write("method,node,time,point,lower,upper,y_true\n")
-            for i in range(len(self)):
-                handle.write(
-                    f"{self.method},{int(self.node[i])},{int(self.time[i])},"
-                    f"{float(self.point[i])!r},{float(self.lower[i])!r},"
-                    f"{float(self.upper[i])!r},{float(self.y_true[i])!r}\n"
+        """One row per record; floats via repr, so reading back is exact."""
+        columns = [self.node.astype(np.int64), self.time.astype(np.int64)] + [
+            getattr(self, name).astype(np.float64) for name in _INTERVAL_ROW.names[3:]
+        ]
+
+        def blocks():
+            for lo in range(0, len(self), _ROWS_PER_WRITE):
+                rows = zip(*(col[lo : lo + _ROWS_PER_WRITE].tolist() for col in columns))
+                yield "".join(
+                    [
+                        f"{self.method},{node},{time},{point!r},{lower!r},{upper!r},{y!r}\n"
+                        for node, time, point, lower, upper, y in rows
+                    ]
                 )
+
+        write_csv(path, ",".join(_INTERVAL_ROW.names) + "\n", blocks())
 
 
 def read_interval_series(path) -> IntervalSeries:
-    node, time, point, lower, upper, y_true = [], [], [], [], [], []
-    method = None
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        header = handle.readline().strip().split(",")
-        if header != ["method", "node", "time", "point", "lower", "upper", "y_true"]:
-            raise AlignmentError(f"{path}: unexpected interval header {header}")
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise AlignmentError(f"{path}: bad interval row {line!r}")
-            if method is None:
-                method = parts[0]
-            elif parts[0] != method:
-                raise AlignmentError(f"{path}: mixed methods {method!r} and {parts[0]!r}")
-            node.append(int(parts[1]))
-            time.append(int(parts[2]))
-            point.append(float(parts[3]))
-            lower.append(float(parts[4]))
-            upper.append(float(parts[5]))
-            y_true.append(float(parts[6]))
-    if method is None:
-        raise AlignmentError(f"{path}: no interval rows")
+    rows = read_table(path, _INTERVAL_ROW, error=AlignmentError)
+    methods = rows["method"]
+    mixed = methods != methods[0]
+    if mixed.any():
+        raise AlignmentError(
+            f"{path}: mixed methods {methods[0]!r} and {methods[np.argmax(mixed)]!r}"
+        )
     return IntervalSeries(
-        method=method,
-        node=np.array(node, dtype=np.int64),
-        time=np.array(time, dtype=np.int64),
-        point=np.array(point, dtype=np.float64),
-        lower=np.array(lower, dtype=np.float64),
-        upper=np.array(upper, dtype=np.float64),
-        y_true=np.array(y_true, dtype=np.float64),
+        method=methods[0], **{name: rows[name].copy() for name in _INTERVAL_ROW.names[1:]}
     )
 
 

@@ -87,3 +87,11 @@ def coerce(kind, value, what: str):
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from exc
+
+
+def section(doc: dict, key: str, what: "str | None" = None) -> dict:
+    """The JSON object ``doc[key]`` ({} when absent); any other value raises ConfigError."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what or key}: expected a JSON object, got {value!r}")
+    return value

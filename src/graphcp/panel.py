@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,12 +144,9 @@ class PanelDataset:
 
     weather: np.ndarray
     counts: np.ndarray
-    time_step: str = ""
 
     @classmethod
-    def build(
-        cls, weather: np.ndarray, counts: np.ndarray, time_step: str = ""
-    ) -> "PanelDataset":
+    def build(cls, weather: np.ndarray, counts: np.ndarray) -> "PanelDataset":
         weather = np.asarray(weather, dtype=np.float64)
         counts_arr = np.asarray(counts)
         if weather.ndim != 3:
@@ -176,7 +174,6 @@ class PanelDataset:
         return cls(
             weather=_readonly(weather.copy()),
             counts=_readonly(counts_arr.copy()),
-            time_step=time_step,
         )
 
     @property
@@ -261,6 +258,22 @@ def split(panel: PanelDataset, fractions: "tuple[float, float, float]") -> DataS
 # CSV ingestion
 # --------------------------------------------------------------------------
 
+_WEATHER_ROW = np.dtype(
+    [("unit", np.int64), ("time", np.int64), ("variable", np.int64), ("value", np.float64)]
+)
+# counts parse as floats, so "3.0" reads as 3 and "2.5" is a non-integer count
+_COUNTS_ROW = np.dtype([("unit", np.int64), ("time", np.int64), ("count", np.float64)])
+
+
+def _check_header(path, header, expected, optional_last=False, error=MalformedRow):
+    header = [h.strip() for h in header]
+    short = expected[:-1] if optional_last else expected
+    if header != expected and header != short:
+        raise error(
+            f"{path}: header {header} does not match {expected}"
+            + (f" or {short}" if optional_last else "")
+        )
+
 
 def _open_rows(path: "str | Path", expected_header: list[str], optional_last: bool = False):
     path = Path(path)
@@ -270,14 +283,7 @@ def _open_rows(path: "str | Path", expected_header: list[str], optional_last: bo
             header = next(reader)
         except StopIteration:
             raise MalformedRow(f"{path}: empty file, expected header row") from None
-        header = [h.strip() for h in header]
-        full = expected_header
-        short = expected_header[:-1] if optional_last else expected_header
-        if header != full and header != short:
-            raise MalformedRow(
-                f"{path}: header {header} does not match {full}"
-                + (f" or {short}" if optional_last else "")
-            )
+        _check_header(path, header, expected_header, optional_last)
         yield from (row for row in reader if row)
 
 
@@ -295,6 +301,102 @@ def _parse_float(token: str, what: str, row: list[str], path) -> float:
     except ValueError:
         raise MalformedRow(f"{path}: bad {what} {token!r} in row {row}") from None
     return value
+
+
+def read_table(path: "str | Path", row_dtype: np.dtype, error=MalformedRow) -> np.ndarray:
+    """The data rows of a CSV whose header names ``row_dtype``'s fields.
+
+    One ``np.loadtxt`` pass parses every row into a structured array.  Fields
+    may be quoted or padded with spaces, and blank lines are skipped.  An
+    empty file, a wrong header, a row with the wrong number of fields, a
+    token that does not parse as its field's type, and a file without data
+    rows raise ``error``.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        try:
+            line = handle.readline()
+            if not line:
+                raise error(f"{path}: empty file, expected header row")
+            header = next(csv.reader([line]), [])
+            _check_header(path, header, list(row_dtype.names), error=error)
+            with warnings.catch_warnings():
+                # a header-only file is reported below instead
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                rows = np.loadtxt(
+                    handle,
+                    dtype=row_dtype,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=1,
+                )
+        except ValueError as exc:
+            raise error(f"{path}: {exc}") from None
+    if rows.size == 0:
+        raise error(f"{path}: no data rows")
+    return rows
+
+
+def write_csv(path: "str | Path", header: str, blocks) -> None:
+    """Write ``header``, then each string of ``blocks`` with one write call."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write(header)
+        for block in blocks:
+            handle.write(block)
+
+
+def _reject(path, rows: np.ndarray, bad: np.ndarray, error, what: str) -> None:
+    if bad.any():
+        raise error(f"{path}: {what} in row {rows[np.argmax(bad)].tolist()}")
+
+
+def _cell_index(path, rows: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The grid shape the rows imply, each row's C-order cell index, and the
+    indices sorted.
+
+    Ids out of domain and a cell named twice raise MalformedRow.  Repeats
+    are found by sorting rather than by ``np.bincount``, so a mistyped id
+    that implies a huge grid costs memory per row, not per cell.
+    """
+    # every field but the last is a coordinate; time is 1-based in files
+    names = rows.dtype.names[:-1]
+    keys = [rows[n] - 1 if n == "time" else rows[n] for n in names]
+    _reject(
+        path,
+        rows,
+        np.logical_or.reduce([key < 0 for key in keys]),
+        MalformedRow,
+        f"{'/'.join(names)} out of domain",
+    )
+    shape = tuple(int(key.max()) + 1 for key in keys)
+    if math.prod(shape) >= 2**63:
+        raise MalformedRow(f"{path}: ids imply a {shape} grid, too large to index")
+    cells = np.ravel_multi_index(keys, shape)
+    ordered = np.sort(cells)
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if repeats.size:
+        row = np.flatnonzero(cells == ordered[repeats[0]])[1]
+        raise MalformedRow(f"{path}: duplicate cell in row {rows[row].tolist()}")
+    return shape, cells, ordered
+
+
+def _dense(path, rows, shape, cells, ordered, values: np.ndarray) -> np.ndarray:
+    """``values`` placed on the grid; raises MissingCell unless every cell has a row."""
+    if ordered.size < math.prod(shape):
+        # the sorted indices are distinct, so the first gap is the first missing cell
+        gaps = np.flatnonzero(ordered != np.arange(ordered.size))
+        first = np.unravel_index(gaps[0] if gaps.size else ordered.size, shape)
+        where = ", ".join(
+            f"{name}={int(i) + 1 if name == 'time' else int(i)}"
+            for name, i in zip(rows.dtype.names, first)
+        )
+        raise MissingCell(f"{path}: cell ({where}) missing")
+    dense = np.empty(ordered.size, dtype=values.dtype)
+    dense[cells] = values
+    return dense.reshape(shape)
 
 
 def load_graph(edge_file: "str | Path", n_nodes: "int | None" = None) -> ServiceGraph:
@@ -328,85 +430,50 @@ def write_graph(graph: ServiceGraph, edge_file: "str | Path") -> None:
             handle.write(f"{src},{dst},{weight!r}\n")
 
 
-def load_panel(
-    weather_file: "str | Path",
-    counts_file: "str | Path",
-    time_step: str = "",
-) -> PanelDataset:
+def load_panel(weather_file: "str | Path", counts_file: "str | Path") -> PanelDataset:
     """Read long-format weather and counts CSVs into dense validated arrays.
 
     Units must be 0..K-1 and times 1..T with every cell present; any gap
     raises MissingCell.
     """
-    weather_cells: dict[tuple[int, int, int], float] = {}
-    for row in _open_rows(weather_file, ["unit", "time", "variable", "value"]):
-        if len(row) != 4:
-            raise MalformedRow(f"{weather_file}: row {row} is not unit,time,variable,value")
-        unit = _parse_int(row[0], "unit", row, weather_file)
-        time = _parse_int(row[1], "time", row, weather_file)
-        var = _parse_int(row[2], "variable", row, weather_file)
-        value = _parse_float(row[3], "value", row, weather_file)
-        if unit < 0 or time < 1 or var < 0:
-            raise MalformedRow(
-                f"{weather_file}: unit/time/variable out of domain in row {row}"
-            )
-        if not math.isfinite(value):
-            raise MalformedRow(f"{weather_file}: non-finite value in row {row}")
-        key = (unit, time, var)
-        if key in weather_cells:
-            raise MalformedRow(f"{weather_file}: duplicate cell {key}")
-        weather_cells[key] = value
-    if not weather_cells:
-        raise MalformedRow(f"{weather_file}: no data rows")
+    weather_rows = read_table(weather_file, _WEATHER_ROW)
+    values = weather_rows["value"]
+    _reject(weather_file, weather_rows, ~np.isfinite(values), MalformedRow, "non-finite value")
+    weather_grid = _cell_index(weather_file, weather_rows)
 
-    count_cells: dict[tuple[int, int], int] = {}
-    for row in _open_rows(counts_file, ["unit", "time", "count"]):
-        if len(row) != 3:
-            raise MalformedRow(f"{counts_file}: row {row} is not unit,time,count")
-        unit = _parse_int(row[0], "unit", row, counts_file)
-        time = _parse_int(row[1], "time", row, counts_file)
-        raw = _parse_float(row[2], "count", row, counts_file)
-        if unit < 0 or time < 1:
-            raise MalformedRow(f"{counts_file}: unit/time out of domain in row {row}")
-        if not math.isfinite(raw) or raw != math.floor(raw):
-            raise NonIntegerCount(f"{counts_file}: count {row[2]!r} is not an integer")
-        count = int(raw)
-        if count < 0:
-            raise NegativeCount(f"{counts_file}: negative count in row {row}")
-        key = (unit, time)
-        if key in count_cells:
-            raise MalformedRow(f"{counts_file}: duplicate cell {key}")
-        count_cells[key] = count
-    if not count_cells:
-        raise MalformedRow(f"{counts_file}: no data rows")
+    count_rows = read_table(counts_file, _COUNTS_ROW)
+    raw = count_rows["count"]
+    _reject(
+        counts_file,
+        count_rows,
+        ~np.isfinite(raw) | (raw != np.floor(raw)),
+        NonIntegerCount,
+        "count is not an integer",
+    )
+    _reject(counts_file, count_rows, raw < 0, NegativeCount, "negative count")
+    _reject(counts_file, count_rows, raw >= 2.0**63, MalformedRow, "count beyond int64")
+    counts_grid = _cell_index(counts_file, count_rows)
 
-    k_w = 1 + max(u for u, _, _ in weather_cells)
-    t_w = max(t for _, t, _ in weather_cells)
-    n_vars = 1 + max(m for _, _, m in weather_cells)
-    k_c = 1 + max(u for u, _ in count_cells)
-    t_c = max(t for _, t in count_cells)
+    (k_w, t_w, _), (k_c, t_c) = weather_grid[0], counts_grid[0]
     if (k_w, t_w) != (k_c, t_c):
         raise DimensionMismatch(
             f"weather implies (K={k_w}, T={t_w}) but counts imply (K={k_c}, T={t_c})"
         )
+    weather = _dense(weather_file, weather_rows, *weather_grid, values)
+    counts = _dense(counts_file, count_rows, *counts_grid, raw.astype(np.int64))
+    return PanelDataset.build(weather, counts)
 
-    weather = np.full((k_w, t_w, n_vars), np.nan)
-    for (unit, time, var), value in weather_cells.items():
-        weather[unit, time - 1, var] = value
-    missing = np.argwhere(np.isnan(weather))
-    if missing.size:
-        unit, t_idx, var = (int(x) for x in missing[0])
-        raise MissingCell(f"weather cell (unit={unit}, time={t_idx + 1}, variable={var}) missing")
 
-    counts = np.full((k_c, t_c), -1, dtype=np.int64)
-    for (unit, time), value in count_cells.items():
-        counts[unit, time - 1] = value
-    missing_c = np.argwhere(counts < 0)
-    if missing_c.size:
-        unit, t_idx = (int(x) for x in missing_c[0])
-        raise MissingCell(f"count cell (unit={unit}, time={t_idx + 1}) missing")
+def _unit_lines(unit: int, tails: list[str], values: np.ndarray) -> str:
+    """The lines ``f"{unit},{tail}{value!r}"`` for each (tail, value), as one string.
 
-    return PanelDataset.build(weather, counts, time_step=time_step)
+    ``repr`` of a list formats every number in one C loop, and no int or
+    float repr contains ", ", so splitting it yields each value's repr.
+    """
+    if not tails:
+        return ""
+    reprs = repr(values.tolist())[1:-1].split(", ")
+    return f"{unit}," + f"\n{unit},".join(map(str.__add__, tails, reprs)) + "\n"
 
 
 def write_panel(
@@ -417,17 +484,17 @@ def write_panel(
     """Write the canonical long-format CSVs (rows sorted by unit, time, variable).
 
     Floats are emitted via repr, so write -> load -> write is a byte-level
-    fixpoint.
+    fixpoint.  Each unit's rows go out in one write call.
     """
-    with Path(weather_file).open("w", encoding="utf-8", newline="") as handle:
-        handle.write("unit,time,variable,value\n")
-        for unit in range(panel.n_nodes):
-            for t_idx in range(panel.n_steps):
-                for var in range(panel.n_vars):
-                    value = float(panel.weather[unit, t_idx, var])
-                    handle.write(f"{unit},{t_idx + 1},{var},{value!r}\n")
-    with Path(counts_file).open("w", encoding="utf-8", newline="") as handle:
-        handle.write("unit,time,count\n")
-        for unit in range(panel.n_nodes):
-            for t_idx in range(panel.n_steps):
-                handle.write(f"{unit},{t_idx + 1},{int(panel.counts[unit, t_idx])}\n")
+    cells = [f"{t},{v}," for t in range(1, panel.n_steps + 1) for v in range(panel.n_vars)]
+    steps = [f"{t}," for t in range(1, panel.n_steps + 1)]
+    write_csv(
+        weather_file,
+        "unit,time,variable,value\n",
+        (_unit_lines(u, cells, panel.weather[u].ravel()) for u in range(panel.n_nodes)),
+    )
+    write_csv(
+        counts_file,
+        "unit,time,count\n",
+        (_unit_lines(u, steps, panel.counts[u]) for u in range(panel.n_nodes)),
+    )

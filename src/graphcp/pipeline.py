@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .conformal import ForestConfig, IntervalSeries, run_conformal
-from .errors import ConfigError, NoEligibleNodes, coerce
+from .errors import ConfigError, NoEligibleNodes, coerce, section
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, FitResult, fit, init_params, save_params
 from .panel import DataSplit, PanelDataset, ServiceGraph, split, write_graph, write_panel
@@ -33,12 +33,6 @@ class PipelineResult:
     winner: "object | None"
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"pipeline config is missing {key!r}")
-    return config[key]
-
-
 def forest_config(doc: dict, seed: int) -> ForestConfig:
     """ForestConfig from the ``forest`` section of a pipeline or CLI config."""
     return ForestConfig(
@@ -56,7 +50,9 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
     out = Path(out_dir)
     seed = coerce(int, config.get("seed", 0), "seed")
 
-    scenario_doc = dict(_require(config, "scenario"))
+    if "scenario" not in config:
+        raise ConfigError("pipeline config is missing 'scenario'")
+    scenario_doc = dict(section(config, "scenario"))
     scenario_doc["seed"] = seed
     scenario = ScenarioConfig.from_dict(scenario_doc)
     graph = scenario.graph.build()
@@ -87,7 +83,7 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
     fractions = tuple(config.get("split", (1 / 3, 1 / 3, 1 / 3)))
     data_split = split(panel, fractions)
 
-    fit_doc = dict(config.get("fit", {}))
+    fit_doc = section(config, "fit")
     init = init_params(
         graph,
         panel.n_vars,
@@ -109,7 +105,7 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
     model_dir.mkdir(parents=True, exist_ok=True)
     save_params(fit_result.params, model_dir / "params.json")
 
-    conf_doc = dict(config.get("conformal", {}))
+    conf_doc = section(config, "conformal")
     methods = list(conf_doc.get("methods", ("poisson", "temporal", "graph")))
     alpha = coerce(float, conf_doc.get("alpha", 0.1), "conformal.alpha")
     window = coerce(int, conf_doc.get("window", 20), "conformal.window")
@@ -117,7 +113,7 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
     if calib_window is not None:
         calib_window = coerce(int, calib_window, "conformal.calib_window")
     stride = conf_doc.get("retrain_stride", 1)
-    forests = forest_config(conf_doc.get("forest", {}), seed + 3)
+    forests = forest_config(section(conf_doc, "forest", "conformal.forest"), seed + 3)
 
     intervals_dir = out / "intervals"
     intervals_dir.mkdir(parents=True, exist_ok=True)
@@ -140,7 +136,7 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
         series[method] = one
         reports[method] = coverage_metrics(one, truths=panel.counts)
 
-    eval_doc = dict(config.get("evaluate", {}))
+    eval_doc = section(config, "evaluate")
     metrics_doc = {
         "alpha": alpha,
         "methods": {m: reports[m].to_dict() for m in sorted(reports)},

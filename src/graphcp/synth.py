@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ExplosiveConfig
+from .errors import ConfigError, DimensionMismatch, ExplosiveConfig
 from .model import (
     INTENSITY_FLOOR,
     ModelParams,
@@ -220,14 +220,20 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        return cls(
-            graph=GraphSpec.from_dict(doc["graph"]),
-            n_steps=int(doc["n_steps"]),
-            params=ModelParams.from_dict(doc["params"]),
-            weather=WeatherSpec.from_dict(doc["weather"]),
-            seed=int(doc.get("seed", 0)),
-            explosion_cap=float(doc.get("explosion_cap", 1e4)),
-        )
+        """Parse a scenario config; a missing key or a wrong-typed value raises ConfigError."""
+        try:
+            return cls(
+                graph=GraphSpec.from_dict(doc["graph"]),
+                n_steps=int(doc["n_steps"]),
+                params=ModelParams.from_dict(doc["params"]),
+                weather=WeatherSpec.from_dict(doc["weather"]),
+                seed=int(doc.get("seed", 0)),
+                explosion_cap=float(doc.get("explosion_cap", 1e4)),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"scenario is missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario: {exc}") from exc
 
 
 def _sample_weather(config: ScenarioConfig, rng) -> np.ndarray:

@@ -93,6 +93,18 @@ def test_validation_failure_exits_4(tmp_path):
     assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 4
 
 
+def test_malformed_weather_file_exits_4(tmp_path, capsys):
+    inputs = fitted_model(tmp_path)
+    weather = tmp_path / "data" / "weather.csv"
+    lines = weather.read_text().splitlines()
+    weather.write_text("\n".join(lines[:5] + ["0,x,0,1.5"] + lines[6:]) + "\n")
+    config = write_json(tmp_path / "fit2.json", inputs)
+    capsys.readouterr()
+    assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "m2")]) == 4
+    err = capsys.readouterr().err
+    assert "MalformedRow" in err and "Traceback" not in err
+
+
 def test_conformal_unknown_method_exits_2(tmp_path, demo_data=None):
     data_dir = tmp_path / "data"
     config = write_json(tmp_path / "sim.json", demo_scenario_doc())
@@ -237,6 +249,38 @@ def test_fit_zero_batch_len_exits_2(tmp_path):
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, bad):
     # int("ten") used to escape cli_main as a ValueError (exit 1, traceback)
     doc = pipeline_doc(seed=1) if command == "pipeline" else fitted_model(tmp_path)
+    config = write_json(tmp_path / "bad.json", {**doc, **bad})
+    capsys.readouterr()
+    assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def scenario_without(key):
+    doc = demo_scenario_doc()
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("fit", {"optimizer": 5}),
+        ("fit", {"init": [1]}),
+        ("simulate", {"scenario": scenario_without("n_steps")}),
+        ("pipeline", {"fit": 5}),
+        ("pipeline", {"conformal": [1]}),
+    ],
+)
+def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
+    # a section that is not a JSON object, or a scenario without a required
+    # key, used to escape cli_main as AttributeError, TypeError or KeyError
+    if command == "pipeline":
+        doc = pipeline_doc(seed=1)
+    elif command == "fit":
+        doc = fitted_model(tmp_path)
+    else:
+        doc = {}
     config = write_json(tmp_path / "bad.json", {**doc, **bad})
     capsys.readouterr()
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2

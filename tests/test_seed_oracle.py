@@ -8,14 +8,21 @@ and vanilla intervals.  The tests assert that the array trees, the batched
 queries and the batched run_conformal give bit-identical trees, quantiles and
 interval columns.
 
-The second half holds the original model layer, which runs the weather
+The second part holds the original model layer, which runs the weather
 convolutions and the excitation recursions over the whole panel for every
 likelihood and gradient call.  The tests assert that the block-local pass
 gives bit-identical values, gradients and fits.
+
+The last part holds the original per-cell CSV readers and writers of panels
+and interval files.  The tests assert that the array readers and writers
+produce byte-identical files, read back bit-identical arrays and raise the
+same exception class on each defective file.
 """
 
+import csv
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +30,17 @@ from scipy import stats
 from scipy.special import expit
 
 from graphcp import model
-from graphcp.conformal import run_conformal
-from graphcp.errors import InsufficientHistory
+from graphcp import conformal
+from graphcp.conformal import IntervalSeries, read_interval_series, run_conformal
+from graphcp.errors import (
+    AlignmentError,
+    DimensionMismatch,
+    InsufficientHistory,
+    MalformedRow,
+    MissingCell,
+    NegativeCount,
+    NonIntegerCount,
+)
 from graphcp.model import (
     INTENSITY_FLOOR,
     FitConfig,
@@ -41,7 +57,7 @@ from graphcp.model import (
     log_likelihood,
     softplus,
 )
-from graphcp.panel import PanelDataset, ServiceGraph
+from graphcp.panel import PanelDataset, ServiceGraph, load_panel, write_panel
 from graphcp.qrf import ForestConfig, fit_forest
 from tests.test_conformal import small_setup
 
@@ -652,3 +668,411 @@ def test_fit_matches_oracle_fit(monkeypatch):
     assert got.n_retreats == want.n_retreats
     assert got.learning_rate_final == want.learning_rate_final
     assert got.params.to_dict() == want.params.to_dict()
+
+
+# --------------------------------------------------------------------------
+# Oracle CSV I/O: per-row csv.reader parsing, a dict keyed by cell, per-cell writes
+# --------------------------------------------------------------------------
+
+
+def oracle_open_rows(path, expected_header, optional_last=False):
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRow(f"{path}: empty file, expected header row") from None
+        header = [h.strip() for h in header]
+        full = expected_header
+        short = expected_header[:-1] if optional_last else expected_header
+        if header != full and header != short:
+            raise MalformedRow(f"{path}: header {header} does not match {full}")
+        yield from (row for row in reader if row)
+
+
+def oracle_parse_int(token, what, row, path):
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedRow(f"{path}: bad {what} {token!r} in row {row}") from None
+
+
+def oracle_parse_float(token, what, row, path):
+    try:
+        return float(token)
+    except ValueError:
+        raise MalformedRow(f"{path}: bad {what} {token!r} in row {row}") from None
+
+
+def oracle_load_panel(weather_file, counts_file):
+    weather_cells = {}
+    for row in oracle_open_rows(weather_file, ["unit", "time", "variable", "value"]):
+        if len(row) != 4:
+            raise MalformedRow(f"{weather_file}: row {row} is not unit,time,variable,value")
+        unit = oracle_parse_int(row[0], "unit", row, weather_file)
+        time = oracle_parse_int(row[1], "time", row, weather_file)
+        var = oracle_parse_int(row[2], "variable", row, weather_file)
+        value = oracle_parse_float(row[3], "value", row, weather_file)
+        if unit < 0 or time < 1 or var < 0:
+            raise MalformedRow(f"{weather_file}: out of domain in row {row}")
+        if not math.isfinite(value):
+            raise MalformedRow(f"{weather_file}: non-finite value in row {row}")
+        key = (unit, time, var)
+        if key in weather_cells:
+            raise MalformedRow(f"{weather_file}: duplicate cell {key}")
+        weather_cells[key] = value
+    if not weather_cells:
+        raise MalformedRow(f"{weather_file}: no data rows")
+
+    count_cells = {}
+    for row in oracle_open_rows(counts_file, ["unit", "time", "count"]):
+        if len(row) != 3:
+            raise MalformedRow(f"{counts_file}: row {row} is not unit,time,count")
+        unit = oracle_parse_int(row[0], "unit", row, counts_file)
+        time = oracle_parse_int(row[1], "time", row, counts_file)
+        raw = oracle_parse_float(row[2], "count", row, counts_file)
+        if unit < 0 or time < 1:
+            raise MalformedRow(f"{counts_file}: out of domain in row {row}")
+        if not math.isfinite(raw) or raw != math.floor(raw):
+            raise NonIntegerCount(f"{counts_file}: count {row[2]!r} is not an integer")
+        count = int(raw)
+        if count < 0:
+            raise NegativeCount(f"{counts_file}: negative count in row {row}")
+        key = (unit, time)
+        if key in count_cells:
+            raise MalformedRow(f"{counts_file}: duplicate cell {key}")
+        count_cells[key] = count
+    if not count_cells:
+        raise MalformedRow(f"{counts_file}: no data rows")
+
+    k_w = 1 + max(u for u, _, _ in weather_cells)
+    t_w = max(t for _, t, _ in weather_cells)
+    n_vars = 1 + max(m for _, _, m in weather_cells)
+    k_c = 1 + max(u for u, _ in count_cells)
+    t_c = max(t for _, t in count_cells)
+    if (k_w, t_w) != (k_c, t_c):
+        raise DimensionMismatch(f"weather ({k_w}, {t_w}) vs counts ({k_c}, {t_c})")
+
+    weather = np.full((k_w, t_w, n_vars), np.nan)
+    for (unit, time, var), value in weather_cells.items():
+        weather[unit, time - 1, var] = value
+    if np.isnan(weather).any():
+        raise MissingCell("weather cell missing")
+    counts = np.full((k_c, t_c), -1, dtype=np.int64)
+    for (unit, time), value in count_cells.items():
+        counts[unit, time - 1] = value
+    if (counts < 0).any():
+        raise MissingCell("count cell missing")
+    return PanelDataset.build(weather, counts)
+
+
+def oracle_write_panel(panel, weather_file, counts_file):
+    with Path(weather_file).open("w", encoding="utf-8", newline="") as handle:
+        handle.write("unit,time,variable,value\n")
+        for unit in range(panel.n_nodes):
+            for t_idx in range(panel.n_steps):
+                for var in range(panel.n_vars):
+                    value = float(panel.weather[unit, t_idx, var])
+                    handle.write(f"{unit},{t_idx + 1},{var},{value!r}\n")
+    with Path(counts_file).open("w", encoding="utf-8", newline="") as handle:
+        handle.write("unit,time,count\n")
+        for unit in range(panel.n_nodes):
+            for t_idx in range(panel.n_steps):
+                handle.write(f"{unit},{t_idx + 1},{int(panel.counts[unit, t_idx])}\n")
+
+
+def oracle_to_csv(series, path):
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write("method,node,time,point,lower,upper,y_true\n")
+        for i in range(len(series)):
+            handle.write(
+                f"{series.method},{int(series.node[i])},{int(series.time[i])},"
+                f"{float(series.point[i])!r},{float(series.lower[i])!r},"
+                f"{float(series.upper[i])!r},{float(series.y_true[i])!r}\n"
+            )
+
+
+def oracle_read_interval_series(path):
+    node, time, point, lower, upper, y_true = [], [], [], [], [], []
+    method = None
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        header = handle.readline().strip().split(",")
+        if header != ["method", "node", "time", "point", "lower", "upper", "y_true"]:
+            raise AlignmentError(f"{path}: unexpected interval header {header}")
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise AlignmentError(f"{path}: bad interval row {line!r}")
+            if method is None:
+                method = parts[0]
+            elif parts[0] != method:
+                raise AlignmentError(f"{path}: mixed methods {method!r} and {parts[0]!r}")
+            node.append(int(parts[1]))
+            time.append(int(parts[2]))
+            point.append(float(parts[3]))
+            lower.append(float(parts[4]))
+            upper.append(float(parts[5]))
+            y_true.append(float(parts[6]))
+    if method is None:
+        raise AlignmentError(f"{path}: no interval rows")
+    return IntervalSeries(
+        method=method,
+        node=np.array(node, dtype=np.int64),
+        time=np.array(time, dtype=np.int64),
+        point=np.array(point, dtype=np.float64),
+        lower=np.array(lower, dtype=np.float64),
+        upper=np.array(upper, dtype=np.float64),
+        y_true=np.array(y_true, dtype=np.float64),
+    )
+
+
+# --------------------------------------------------------------------------
+# CSV I/O against the oracles
+# --------------------------------------------------------------------------
+
+# floats whose shortest repr takes each of repr's forms: signed zero, the
+# smallest subnormal, exponent notation at both ends, the largest double,
+# and integral values
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1.7976931348623157e308,
+    -1.7976931348623157e308, 2.2250738585072014e-308, 3.0, -2.0, 1e22, 123456789.0,
+    0.1, 1 / 3, 9007199254740993.0,
+]
+# counts parse as floats, so 2**53 + 1 reads back as 2**53 in both readers
+LARGE_COUNTS = [0, 1, 2**53, 2**53 + 1, 2**62, 10**18]
+
+
+def bits(arr):
+    """The bytes of a float array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.int64)
+
+
+def special_panel(seed, k, t_total, n_vars):
+    rng = np.random.default_rng(seed)
+    shape = (k, t_total, n_vars)
+    weather = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    flat = weather.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, len(SPECIAL_FLOATS)), replace=False)
+    flat[picks] = SPECIAL_FLOATS[: picks.size]
+    counts = rng.poisson(3.0, size=(k, t_total))
+    counts.reshape(-1)[: len(LARGE_COUNTS)] = LARGE_COUNTS[: counts.size]
+    return PanelDataset.build(weather, counts)
+
+
+def assert_same_panel(panel, expected):
+    np.testing.assert_array_equal(bits(panel.weather), bits(expected.weather))
+    np.testing.assert_array_equal(panel.counts, expected.counts)
+    assert panel.counts.dtype == expected.counts.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed, k, t_total, n_vars", [(0, 1, 1, 1), (1, 3, 7, 2), (2, 4, 20, 3)])
+def test_panel_files_match_oracle_bytes_and_arrays(tmp_path, seed, k, t_total, n_vars):
+    panel = special_panel(seed, k, t_total, n_vars)
+    write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
+    oracle_write_panel(panel, tmp_path / "ow.csv", tmp_path / "oc.csv")
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "ow.csv").read_bytes()
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "oc.csv").read_bytes()
+    loaded = load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    assert_same_panel(loaded, oracle_load_panel(tmp_path / "w.csv", tmp_path / "c.csv"))
+    np.testing.assert_array_equal(bits(loaded.weather), bits(panel.weather))
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 1), (2, 0, 1), (2, 3, 0)])
+def test_empty_panel_files_match_oracle_bytes(tmp_path, shape):
+    panel = PanelDataset.build(np.zeros(shape), np.zeros(shape[:2], dtype=np.int64))
+    write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
+    oracle_write_panel(panel, tmp_path / "ow.csv", tmp_path / "oc.csv")
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "ow.csv").read_bytes()
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "oc.csv").read_bytes()
+
+
+def rewrite(path, edit):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    Path(path).write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+
+
+def shuffled(lines):
+    body = lines[1:]
+    order = np.random.default_rng(5).permutation(len(body))
+    return [lines[0]] + [body[i] for i in order]
+
+
+def with_blank_lines(lines):
+    return [lines[0], ""] + [x for line in lines[1:] for x in (line, "")]
+
+
+def quoted(lines):
+    return [lines[0]] + [",".join(f'"{tok}"' for tok in line.split(",")) for line in lines[1:]]
+
+
+def padded(lines):
+    return [lines[0]] + [",".join(f" {tok} " for tok in line.split(",")) for line in lines[1:]]
+
+
+def crlf(lines):
+    return [line + "\r" for line in lines]
+
+
+@pytest.mark.parametrize("edit", [shuffled, with_blank_lines, quoted, padded, crlf])
+def test_load_panel_matches_oracle_on_reformatted_files(tmp_path, edit):
+    panel = special_panel(3, 3, 6, 2)
+    write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
+    rewrite(tmp_path / "w.csv", edit)
+    rewrite(tmp_path / "c.csv", edit)
+    loaded = load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    assert_same_panel(loaded, oracle_load_panel(tmp_path / "w.csv", tmp_path / "c.csv"))
+    np.testing.assert_array_equal(bits(loaded.weather), bits(panel.weather))
+
+
+def replace_row(index, text):
+    return lambda lines: lines[:index] + [text] + lines[index + 1:]
+
+
+def drop_row(index):
+    return lambda lines: lines[:index] + lines[index + 1:]
+
+
+# (file, edit, class): each edit of a valid K=2, T=3, M=2 panel's weather
+# ("w") or counts ("c") file makes exactly one defect
+PANEL_DEFECTS = [
+    ("w", lambda lines: ["unit,time,var,value"] + lines[1:], MalformedRow),
+    ("c", lambda lines: ["unit,count,time"] + lines[1:], MalformedRow),
+    ("w", lambda lines: [], MalformedRow),
+    ("c", lambda lines: [], MalformedRow),
+    ("w", lambda lines: lines[:1], MalformedRow),
+    ("c", lambda lines: lines[:1], MalformedRow),
+    ("w", replace_row(3, "0,2,0"), MalformedRow),
+    ("w", replace_row(3, "0,2,0,1.5,7"), MalformedRow),
+    ("c", replace_row(2, "0,2"), MalformedRow),
+    ("w", lambda lines: lines[:2] + ["   "] + lines[2:], MalformedRow),
+    ("w", replace_row(3, "x,2,0,1.5"), MalformedRow),
+    ("w", replace_row(3, "0,2.0,0,1.5"), MalformedRow),
+    ("w", replace_row(3, "0,2,0,abc"), MalformedRow),
+    ("w", replace_row(3, "0,2,0,"), MalformedRow),
+    ("c", replace_row(2, "0,2,abc"), MalformedRow),
+    ("c", replace_row(2, "0,x,4"), MalformedRow),
+    ("w", replace_row(1, "-1,1,0,1.5"), MalformedRow),
+    ("w", replace_row(1, "0,0,0,1.5"), MalformedRow),
+    ("w", replace_row(1, "0,1,-1,1.5"), MalformedRow),
+    ("c", replace_row(1, "-1,1,4"), MalformedRow),
+    ("c", replace_row(1, "0,0,4"), MalformedRow),
+    ("w", replace_row(3, "0,2,0,nan"), MalformedRow),
+    ("w", replace_row(3, "0,2,0,-inf"), MalformedRow),
+    ("w", replace_row(3, "0,2,0,1e400"), MalformedRow),
+    ("w", lambda lines: lines + [lines[4]], MalformedRow),
+    ("w", replace_row(3, "0,1,0,9.5"), MalformedRow),
+    ("c", lambda lines: lines + [lines[2]], MalformedRow),
+    ("c", replace_row(2, "0,2,1.5"), NonIntegerCount),
+    ("c", replace_row(2, "0,2,nan"), NonIntegerCount),
+    ("c", replace_row(2, "0,2,inf"), NonIntegerCount),
+    ("c", replace_row(2, "0,2,-1"), NegativeCount),
+    ("c", replace_row(2, "0,2,-4.0"), NegativeCount),
+    ("c", lambda lines: [x for x in lines if not x.startswith("1,")], DimensionMismatch),
+    ("c", lambda lines: [x for x in lines if not x.startswith(("0,3", "1,3"))], DimensionMismatch),
+    ("w", lambda lines: lines + ["0,4,0,1.0"], DimensionMismatch),
+    ("w", drop_row(3), MissingCell),
+    ("w", drop_row(12), MissingCell),
+    ("w", lambda lines: lines + ["1,3,2,1.0"], MissingCell),
+    ("c", drop_row(2), MissingCell),
+    ("c", drop_row(1), MissingCell),
+]
+
+
+@pytest.mark.parametrize("which, edit, expected", PANEL_DEFECTS)
+def test_load_panel_defects_raise_oracle_class(tmp_path, which, edit, expected):
+    rng = np.random.default_rng(9)
+    panel = PanelDataset.build(rng.normal(size=(2, 3, 2)), rng.poisson(2.0, size=(2, 3)))
+    write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
+    rewrite(tmp_path / f"{which}.csv", edit)
+    with pytest.raises(expected) as oracle_error:
+        oracle_load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    assert type(oracle_error.value) is expected
+    with pytest.raises(expected) as error:
+        load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    assert type(error.value) is expected
+
+
+def test_count_beyond_int64_is_malformed(tmp_path):
+    # 2**63 - 1 parses to the float 2**63; the per-cell reader ended in OverflowError
+    (tmp_path / "w.csv").write_text("unit,time,variable,value\n0,1,0,1.0\n")
+    (tmp_path / "c.csv").write_text(f"unit,time,count\n0,1,{2**63 - 1}\n")
+    with pytest.raises(OverflowError):
+        oracle_load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    with pytest.raises(MalformedRow):
+        load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+
+
+def test_header_only_file_raises_without_warning(tmp_path, recwarn):
+    (tmp_path / "w.csv").write_text("unit,time,variable,value\n")
+    (tmp_path / "c.csv").write_text("unit,time,count\n0,1,0\n")
+    with pytest.raises(MalformedRow, match="no data rows"):
+        load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    assert len(recwarn) == 0
+
+
+def special_series(seed, n, method):
+    rng = np.random.default_rng(seed)
+    point = rng.gamma(2.0, 3.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+    point[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n]
+    lower = point - rng.exponential(2.0, size=n)
+    upper = point + rng.exponential(2.0, size=n)
+    lower[1::7], upper[1::7] = -np.inf, np.inf
+    lower[2::11] = upper[2::11] = point[2::11]
+    return IntervalSeries(
+        method=method,
+        node=rng.integers(0, 400, size=n),
+        time=rng.integers(1, 10**6, size=n),
+        point=point,
+        lower=lower,
+        upper=upper,
+        y_true=rng.poisson(4.0, size=n).astype(np.float64),
+    )
+
+
+def assert_same_series(series, expected):
+    assert series.method == expected.method
+    for name in ("node", "time"):
+        np.testing.assert_array_equal(getattr(series, name), getattr(expected, name))
+        assert getattr(series, name).dtype == np.int64
+    for name in ("point", "lower", "upper", "y_true"):
+        np.testing.assert_array_equal(bits(getattr(series, name)), bits(getattr(expected, name)))
+
+
+@pytest.mark.parametrize("n, method", [(1, "poisson"), (40, "graph"), (301, "vanilla")])
+def test_interval_files_match_oracle_bytes_and_arrays(tmp_path, monkeypatch, n, method):
+    # a small write block exercises the block boundaries
+    monkeypatch.setattr(conformal, "_ROWS_PER_WRITE", 16)
+    series = special_series(n, n, method)
+    series.to_csv(tmp_path / "iv.csv")
+    oracle_to_csv(series, tmp_path / "oracle.csv")
+    assert (tmp_path / "iv.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    back = read_interval_series(tmp_path / "iv.csv")
+    assert_same_series(back, oracle_read_interval_series(tmp_path / "iv.csv"))
+    assert_same_series(back, series)
+
+
+INTERVAL_DEFECTS = [
+    lambda lines: ["method,node,time,point,lower,upper"] + lines[1:],
+    lambda lines: ["method,node,time,point,upper,lower,y_true"] + lines[1:],
+    lambda lines: [],
+    lambda lines: lines[:1],
+    lambda lines: lines[:1] + [""],
+    replace_row(2, "graph,0,5,1.0,0.0,2.0"),
+    replace_row(2, "graph,0,5,1.0,0.0,2.0,3.0,4.0"),
+    replace_row(2, "temporal,0,5,1.0,0.0,2.0,3.0"),
+]
+
+
+@pytest.mark.parametrize("edit", INTERVAL_DEFECTS)
+def test_interval_defects_raise_alignment_error_like_oracle(tmp_path, edit):
+    path = tmp_path / "iv.csv"
+    special_series(4, 5, "graph").to_csv(path)
+    rewrite(path, edit)
+    with pytest.raises(AlignmentError):
+        oracle_read_interval_series(path)
+    with pytest.raises(AlignmentError):
+        read_interval_series(path)
