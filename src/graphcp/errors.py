@@ -82,16 +82,38 @@ class NoEligibleNodes(GraphCPError):
 
 
 def coerce(kind, value, what: str):
-    """``kind(value)`` for a config value; a wrong-typed value raises ConfigError."""
+    """``kind(value)`` for a config value; a wrong-typed value raises ConfigError.
+
+    ``bool``, ``str``, ``list`` and ``dict`` are not conversions: the value
+    must be a JSON value of that type, so ``"false"`` is not a boolean and
+    ``5`` is not a path.
+    """
+    if kind in (bool, str, list, dict) and not isinstance(value, kind):
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from exc
 
 
-def section(doc: dict, key: str, what: "str | None" = None) -> dict:
-    """The JSON object ``doc[key]`` ({} when absent); any other value raises ConfigError."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what or key}: expected a JSON object, got {value!r}")
-    return value
+_REQUIRED = object()  # the ``take`` default of a key that must be present
+
+
+def take(doc: dict, key: str, kind, default=_REQUIRED, where: str = "", nullable=False):
+    """Pop ``doc[key]`` (``default`` when absent) and ``coerce`` it to ``kind``.
+
+    ``where`` is the dotted path of ``doc`` (``"conformal.forest."``) that
+    error messages put before ``key``.  ``None`` passes when ``nullable``.
+    Parsers pop every key they know from a copy of their section, so
+    ``done`` can reject what is left.
+    """
+    value = doc.pop(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{where}{key}: missing")
+    return None if nullable and value is None else coerce(kind, value, where + key)
+
+
+def done(doc: dict, where: str = "") -> None:
+    """Reject the keys a parser left in its section: they are unknown."""
+    if doc:
+        raise ConfigError(f"unknown key(s) {[where + key for key in sorted(doc)]}")

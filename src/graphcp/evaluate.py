@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, NoEligibleNodes
+from .errors import AlignmentError, NoEligibleNodes, coerce, take
 from .conformal import IntervalSeries
+from .panel import write_csv
 
 __all__ = [
     "NodeMetrics",
@@ -65,18 +65,28 @@ class MethodReport:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "MethodReport":
+    def from_dict(cls, doc: dict, where: str = "") -> "MethodReport":
+        """Parse ``to_dict`` output; a missing key or a wrong-typed value raises
+        ConfigError naming the key, prefixed by ``where``."""
+        doc = dict(doc)
+        per_node = {}
+        for node, metrics in take(doc, "per_node", dict, where=where).items():
+            at = f"{where}per_node.{node}"
+            metrics = _fields(coerce(dict, metrics, at), _NODE_FIELDS, at + ".")
+            per_node[coerce(int, node, at)] = NodeMetrics(**metrics)
         return cls(
-            method=doc["method"],
-            coverage=doc["coverage"],
-            nonzero_coverage=doc["nonzero_coverage"],
-            mean_width=doc["mean_width"],
-            n_infinite_width=doc["n_infinite_width"],
-            per_node={
-                int(node): NodeMetrics(**metrics)
-                for node, metrics in doc["per_node"].items()
-            },
+            method=take(doc, "method", str, where=where),
+            per_node=per_node,
+            **_fields(doc, _REPORT_FIELDS, where),
         )
+
+
+_REPORT_FIELDS = dict(coverage=float, nonzero_coverage=float, mean_width=float, n_infinite_width=int)
+_NODE_FIELDS = dict(_REPORT_FIELDS, mean_y=float, n_cells=int)
+
+
+def _fields(doc: dict, kinds: dict, where: str) -> dict:
+    return {key: take(doc, key, kind, where=where) for key, kind in kinds.items()}
 
 
 @dataclass(frozen=True)
@@ -228,8 +238,6 @@ def violin_export(reports, path=None):
     if not rows:
         raise NoEligibleNodes("no per-node coverage values to export")
     if path is not None:
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            handle.write("method,node,coverage\n")
-            for method, node, coverage in rows:
-                handle.write(f"{method},{node},{coverage!r}\n")
+        lines = (f"{method},{node},{coverage!r}\n" for method, node, coverage in rows)
+        write_csv(path, "method,node,coverage\n", lines)
     return rows

@@ -32,15 +32,14 @@ Rates are floored at ``INTENSITY_FLOOR`` so the log stays finite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, DimensionMismatch, NonFiniteLoss
-from .panel import PanelDataset, ServiceGraph
+from .errors import ConfigError, DimensionMismatch, NonFiniteLoss, coerce, take
+from .panel import PanelDataset, ServiceGraph, read_json, write_json
 
 __all__ = [
     "INTENSITY_FLOOR",
@@ -246,31 +245,41 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelParams":
-        resp = doc["response"]
+        """Parse ``to_dict`` output; a missing key or a wrong-typed value raises
+        ConfigError naming the key."""
+        doc = coerce(dict, doc, "params")
+        resp = take(doc, "response", dict, where="params.")
+        coupling = take(doc, "coupling", list, where="params.")
+        try:
+            coupling = {(int(s), int(d)): float(v) for s, d, v in coupling}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params.coupling: expected [src, dst, value] rows ({exc})") from exc
         return cls(
-            coupling={(int(s), int(d)): float(v) for s, d, v in doc["coupling"]},
-            decay=np.array(doc["decay"], dtype=np.float64),
-            scale=np.array(doc["scale"], dtype=np.float64),
-            weather_decay=np.array(doc["weather_decay"], dtype=np.float64),
+            coupling=coupling,
+            decay=take(doc, "decay", float_array, where="params."),
+            scale=take(doc, "scale", float_array, where="params."),
+            weather_decay=take(doc, "weather_decay", float_array, where="params."),
             response=ResponseWeights(
-                np.array(resp["w_hidden"], dtype=np.float64),
-                np.array(resp["b_hidden"], dtype=np.float64),
-                np.array(resp["w_out"], dtype=np.float64),
-                float(resp["b_out"]),
+                take(resp, "w_hidden", float_array, where="params.response."),
+                take(resp, "b_hidden", float_array, where="params.response."),
+                take(resp, "w_out", float_array, where="params.response."),
+                take(resp, "b_out", float, where="params.response."),
             ),
-            window=int(doc["window"]),
+            window=take(doc, "window", int, where="params."),
             seed=doc.get("seed"),
         )
 
 
+def float_array(value) -> np.ndarray:
+    return np.array(value, dtype=np.float64)
+
+
 def save_params(params: ModelParams, path: "str | Path") -> None:
-    Path(path).write_text(
-        json.dumps(params.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, params.to_dict())
 
 
 def load_params(path: "str | Path") -> ModelParams:
-    return ModelParams.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return ModelParams.from_dict(read_json(path))
 
 
 def init_params(

@@ -20,6 +20,7 @@ File formats (UTF-8, comma separated, decimal points, one header row):
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import (
     BadFractions,
+    ConfigError,
     DimensionMismatch,
     DuplicateEdge,
     MalformedRow,
@@ -258,6 +260,7 @@ def split(panel: PanelDataset, fractions: "tuple[float, float, float]") -> DataS
 # CSV ingestion
 # --------------------------------------------------------------------------
 
+_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 _WEATHER_ROW = np.dtype(
     [("unit", np.int64), ("time", np.int64), ("variable", np.int64), ("value", np.float64)]
 )
@@ -275,51 +278,33 @@ def _check_header(path, header, expected, optional_last=False, error=MalformedRo
         )
 
 
-def _open_rows(path: "str | Path", expected_header: list[str], optional_last: bool = False):
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{path}: empty file, expected header row") from None
-        _check_header(path, header, expected_header, optional_last)
-        yield from (row for row in reader if row)
-
-
-def _parse_int(token: str, what: str, row: list[str], path) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise MalformedRow(f"{path}: bad {what} {token!r} in row {row}") from None
-    return value
-
-
-def _parse_float(token: str, what: str, row: list[str], path) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise MalformedRow(f"{path}: bad {what} {token!r} in row {row}") from None
-    return value
-
-
-def read_table(path: "str | Path", row_dtype: np.dtype, error=MalformedRow) -> np.ndarray:
+def read_table(
+    path: "str | Path",
+    row_dtype: np.dtype,
+    error=MalformedRow,
+    optional_last: bool = False,
+    empty_ok: bool = False,
+) -> np.ndarray:
     """The data rows of a CSV whose header names ``row_dtype``'s fields.
 
     One ``np.loadtxt`` pass parses every row into a structured array.  Fields
     may be quoted or padded with spaces, and blank lines are skipped.  An
     empty file, a wrong header, a row with the wrong number of fields, a
-    token that does not parse as its field's type, and a file without data
-    rows raise ``error``.
+    token that does not parse as its field's type, and (unless ``empty_ok``)
+    a file without data rows raise ``error``.  With ``optional_last`` the
+    header may omit the last field, and then every row must omit it too.
     """
     path = Path(path)
+    names = list(row_dtype.names)
     with path.open("r", encoding="utf-8", newline="") as handle:
         try:
             line = handle.readline()
             if not line:
                 raise error(f"{path}: empty file, expected header row")
             header = next(csv.reader([line]), [])
-            _check_header(path, header, list(row_dtype.names), error=error)
+            _check_header(path, header, names, optional_last, error)
+            if len(header) < len(names):
+                row_dtype = row_dtype[names[:-1]]
             with warnings.catch_warnings():
                 # a header-only file is reported below instead
                 warnings.filterwarnings(
@@ -335,7 +320,7 @@ def read_table(path: "str | Path", row_dtype: np.dtype, error=MalformedRow) -> n
                 )
         except ValueError as exc:
             raise error(f"{path}: {exc}") from None
-    if rows.size == 0:
+    if rows.size == 0 and not empty_ok:
         raise error(f"{path}: no data rows")
     return rows
 
@@ -346,6 +331,22 @@ def write_csv(path: "str | Path", header: str, blocks) -> None:
         handle.write(header)
         for block in blocks:
             handle.write(block)
+
+
+def write_json(path: "str | Path", doc) -> None:
+    """``doc`` as JSON with indent 2, sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_json(path: "str | Path") -> dict:
+    """The JSON object in ``path``; invalid JSON or another value raises ConfigError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top-level JSON value must be an object")
+    return doc
 
 
 def _reject(path, rows: np.ndarray, bad: np.ndarray, error, what: str) -> None:
@@ -403,31 +404,20 @@ def load_graph(edge_file: "str | Path", n_nodes: "int | None" = None) -> Service
     """Read an edge-list CSV (header ``src,dst[,weight]``) into a ServiceGraph.
 
     The file carries no node universe of its own: pass ``n_nodes`` to allow
-    isolated nodes; otherwise K is inferred as ``max node index + 1``.
+    isolated nodes and a file without edges; otherwise K is inferred as
+    ``max node index + 1``.  Without a weight column every weight is 1.0.
     """
-    edges: list[tuple[int, int, float]] = []
-    for row in _open_rows(edge_file, ["src", "dst", "weight"], optional_last=True):
-        if len(row) not in (2, 3):
-            raise MalformedRow(f"{edge_file}: row {row} is not src,dst[,weight]")
-        src = _parse_int(row[0], "src", row, edge_file)
-        dst = _parse_int(row[1], "dst", row, edge_file)
-        weight = _parse_float(row[2], "weight", row, edge_file) if len(row) == 3 else 1.0
-        edges.append((src, dst, weight))
+    rows = read_table(edge_file, _EDGE_ROW, optional_last=True, empty_ok=n_nodes is not None)
+    src, dst = rows["src"].tolist(), rows["dst"].tolist()
+    weights = rows["weight"].tolist() if "weight" in rows.dtype.names else [1.0] * len(src)
     if n_nodes is None:
-        if not edges:
-            raise MalformedRow(
-                f"{edge_file}: no edges and no n_nodes given; node count unknown"
-            )
-        n_nodes = 1 + max(max(s, d) for s, d, _ in edges)
-    return ServiceGraph.from_edges(n_nodes, edges)
+        n_nodes = 1 + max(max(src), max(dst))
+    return ServiceGraph.from_edges(n_nodes, list(zip(src, dst, weights)))
 
 
 def write_graph(graph: ServiceGraph, edge_file: "str | Path") -> None:
-    path = Path(edge_file)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write("src,dst,weight\n")
-        for src, dst, weight in sorted(graph.edges):
-            handle.write(f"{src},{dst},{weight!r}\n")
+    rows = (f"{src},{dst},{weight!r}\n" for src, dst, weight in sorted(graph.edges))
+    write_csv(edge_file, "src,dst,weight\n", rows)
 
 
 def load_panel(weather_file: "str | Path", counts_file: "str | Path") -> PanelDataset:
@@ -464,7 +454,7 @@ def load_panel(weather_file: "str | Path", counts_file: "str | Path") -> PanelDa
     return PanelDataset.build(weather, counts)
 
 
-def _unit_lines(unit: int, tails: list[str], values: np.ndarray) -> str:
+def unit_lines(unit: int, tails: list[str], values: np.ndarray) -> str:
     """The lines ``f"{unit},{tail}{value!r}"`` for each (tail, value), as one string.
 
     ``repr`` of a list formats every number in one C loop, and no int or
@@ -491,10 +481,10 @@ def write_panel(
     write_csv(
         weather_file,
         "unit,time,variable,value\n",
-        (_unit_lines(u, cells, panel.weather[u].ravel()) for u in range(panel.n_nodes)),
+        (unit_lines(u, cells, panel.weather[u].ravel()) for u in range(panel.n_nodes)),
     )
     write_csv(
         counts_file,
         "unit,time,count\n",
-        (_unit_lines(u, steps, panel.counts[u]) for u in range(panel.n_nodes)),
+        (unit_lines(u, steps, panel.counts[u]) for u in range(panel.n_nodes)),
     )

@@ -187,6 +187,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise DimensionMismatch(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.weather.n_vars != self.params.n_vars:
             raise DimensionMismatch(
                 f"weather spec has M={self.weather.n_vars} but params expect "

@@ -1,7 +1,11 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphcp.cli import cli_main
 from graphcp.conformal import read_interval_series
@@ -237,6 +241,40 @@ def test_fit_zero_batch_len_exits_2(tmp_path):
     assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "m0")]) == 2
 
 
+def edited_params(edit):
+    """An override pointing ``params_file`` at a copy of the fitted params with ``edit`` applied."""
+
+    def override(doc, tmp_path):
+        params = json.loads(Path(doc["params_file"]).read_text())
+        edit(params)
+        return {"params_file": write_json(tmp_path / "edited_params.json", params)}
+
+    return override
+
+
+def metrics_file(edit):
+    """An override pointing ``metrics_file`` at a two-method metrics document with ``edit`` applied."""
+    from tests.test_evaluate import report_from
+
+    def override(doc, tmp_path):
+        reports = [report_from(m, {0: 0.9}, {0: 2.0}) for m in ("poisson", "graph")]
+        metrics = {"alpha": 0.1, "methods": {r.method: r.to_dict() for r in reports}}
+        edit(metrics)
+        return {"metrics_file": write_json(tmp_path / "metrics.json", metrics)}
+
+    return override
+
+
+def bad_config(tmp_path, command, bad):
+    if command == "pipeline":
+        doc = pipeline_doc(seed=1)
+    elif command == "simulate":
+        doc = {}
+    else:
+        doc = fitted_model(tmp_path)
+    return write_json(tmp_path / "bad.json", {**doc, **(bad(doc, tmp_path) if callable(bad) else bad)})
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [
@@ -244,12 +282,29 @@ def test_fit_zero_batch_len_exits_2(tmp_path):
         ("conformal", {"method": "poisson", "window": "x"}),
         ("predict", {"range": ["five", 8]}),
         ("pipeline", {"fit": {"epochs": "ten"}}),
+        ("conformal", {"method": "poisson", "calib_window": "x"}),
+        ("conformal", {"method": "poisson", "retrain_stride": "x"}),
+        ("conformal", {"method": "poisson", "forest": {"max_depth": "x"}}),
+        ("conformal", {"method": "poisson", "forest": {"mtry": "x"}}),
+        ("conformal", {"method": "poisson", "forest": {"bootstrap": "false"}}),
+        ("fit", {"split": 5}),
+        ("fit", {"split": ["a", 0.5, 0.25]}),
+        ("evaluate", {"intervals_files": 5}),
+        ("evaluate", {"intervals_files": [5]}),
+        ("pipeline", {"conformal": {"methods": 5}}),
+        ("fit", {"weather_file": 5}),
+        ("report", {"metrics_file": None}),
+        ("predict", edited_params(lambda p: p.update(decay="x"))),
+        ("predict", edited_params(lambda p: p["response"].update(b_out=[1.0]))),
+        ("report", metrics_file(lambda m: m["methods"]["graph"].update(coverage="x"))),
+        ("report", metrics_file(lambda m: m["methods"]["graph"]["per_node"]["0"].update(n_cells=[]))),
+        ("evaluate", {"intervals_files": [], "alpha": 1.5}),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, bad):
-    # int("ten") used to escape cli_main as a ValueError (exit 1, traceback)
-    doc = pipeline_doc(seed=1) if command == "pipeline" else fitted_model(tmp_path)
-    config = write_json(tmp_path / "bad.json", {**doc, **bad})
+    # int("ten") used to escape cli_main as a ValueError (exit 1, traceback);
+    # bool("false") read as True, and a path of 5 or None as a TypeError
+    config = bad_config(tmp_path, command, bad)
     capsys.readouterr()
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -270,18 +325,26 @@ def scenario_without(key):
         ("simulate", {"scenario": scenario_without("n_steps")}),
         ("pipeline", {"fit": 5}),
         ("pipeline", {"conformal": [1]}),
+        ("fit", {"optimizer": {"epoch": 1}}),
+        ("fit", {"init": {"hiden": 3}}),
+        ("conformal", {"method": "poisson", "forest": {"n_tree": 5}}),
+        ("pipeline", {"fit": {"epoch": 1}}),
+        ("pipeline", {"conformal": {"method": ["graph"]}}),
+        ("pipeline", {"conformal": {"forest": {"bootstrap": True, "depth": 3}}}),
+        ("pipeline", {"evaluate": {"threshold": 0.0}}),
+        ("pipeline", {"sede": 3}),
+        ("predict", edited_params(lambda p: p.pop("decay"))),
+        ("predict", edited_params(lambda p: p["response"].pop("w_out"))),
+        ("report", metrics_file(lambda m: m.pop("methods"))),
+        ("report", metrics_file(lambda m: m["methods"]["poisson"].pop("per_node"))),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
-    # a section that is not a JSON object, or a scenario without a required
-    # key, used to escape cli_main as AttributeError, TypeError or KeyError
-    if command == "pipeline":
-        doc = pipeline_doc(seed=1)
-    elif command == "fit":
-        doc = fitted_model(tmp_path)
-    else:
-        doc = {}
-    config = write_json(tmp_path / "bad.json", {**doc, **bad})
+    # a section that is not a JSON object, a scenario, params or metrics
+    # document without a required key, or an unknown key in a stage section
+    # used to escape cli_main as AttributeError, TypeError or KeyError, or to
+    # be ignored
+    config = bad_config(tmp_path, command, bad)
     capsys.readouterr()
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -326,3 +389,93 @@ def test_coverage_metrics_recomputed_from_csv_bit_exact(tmp_path):
         assert in_memory.nonzero_coverage == from_csv.nonzero_coverage
         assert in_memory.mean_width == from_csv.mean_width
         assert in_memory.per_node == from_csv.per_node
+
+
+# -------------------------------------------------------------- mutated configs
+
+MUTANTS = ["x", -1, 1.5, [], {}, None, True]
+
+
+@pytest.fixture(scope="module")
+def valid_configs(tmp_path_factory):
+    """One valid, quick config per subcommand, with the input files they name."""
+    tmp = tmp_path_factory.mktemp("valid")
+    inputs = fitted_model(tmp)
+    data = {k: v for k, v in inputs.items() if k != "params_file"}
+    split = {"split": [0.4, 0.3, 0.3], "seed": 2}
+    conformal = {
+        **inputs,
+        **split,
+        "method": "vanilla",
+        "alpha": 0.1,
+        "window": 4,
+        "calib_window": 30,
+        "retrain_stride": 20,
+        "forest": {"n_trees": 2, "max_depth": 3, "min_leaf": 5, "mtry": 1, "bootstrap": True},
+    }
+    files = []
+    for method in ("poisson", "vanilla"):
+        out = tmp / "iv"
+        config = write_json(tmp / "conf.json", dict(conformal, method=method))
+        assert cli_main(["conformal", "--config", config, "--out", str(out)]) == 0
+        files.append(str(out / f"intervals_{method}.csv"))
+    evaluate = {"intervals_files": files, "alpha": 0.1}
+    config = write_json(tmp / "eval.json", evaluate)
+    assert cli_main(["evaluate", "--config", config, "--out", str(tmp / "m")]) == 0
+    pipeline = pipeline_doc(seed=2)
+    pipeline["fit"]["epochs"] = 1
+    pipeline["conformal"]["methods"] = ["poisson", "vanilla"]
+    pipeline["conformal"]["forest"] = {"n_trees": 2, "max_depth": 3, "mtry": 1, "bootstrap": False}
+    return {
+        "simulate": {"scenario": demo_scenario_doc()},
+        "fit": {
+            **data,
+            **split,
+            "init": {"hidden": 2, "window": 6},
+            "optimizer": {"epochs": 1, "learning_rate": 0.01, "batch_len": 30, "momentum": 0.5},
+        },
+        "predict": {**inputs, **split, "range": [5, 8]},
+        "conformal": conformal,
+        "evaluate": evaluate,
+        "report": {"metrics_file": str(tmp / "m" / "metrics.json"), "outage_threshold": 0.0},
+        "pipeline": pipeline,
+    }
+
+
+def sections(doc, path=()):
+    """The path of every JSON object in ``doc`` except the scenario document."""
+    yield path
+    for key, value in doc.items():
+        if isinstance(value, dict) and key != "scenario":
+            yield from sections(value, path + (key,))
+
+
+# the cases number about 540, so hypothesis runs out of new ones and stops
+# after trying each (about 5 s)
+@settings(
+    max_examples=1000,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_config_exits_cleanly(valid_configs, tmp_path_factory, capsys, data):
+    # swap one top-level or section value for a wrong-typed or out-of-range
+    # one, or add an unknown key; every outcome is a documented exit code
+    command = data.draw(st.sampled_from(sorted(valid_configs)))
+    doc = copy.deepcopy(valid_configs[command])
+    path = data.draw(st.sampled_from(list(sections(doc))))
+    section = doc
+    for key in path:
+        section = section[key]
+    key = data.draw(st.sampled_from(sorted(section) + ["unknown_key"]))
+    # an emptied section falls back to every default, like dropped keys
+    # (200 epochs, or a forest refit at every step), so a section stays filled
+    mutants = [m for m in MUTANTS if not (m == {} and isinstance(section.get(key), dict))]
+    section[key] = data.draw(st.sampled_from(mutants))
+    tmp = tmp_path_factory.mktemp("mutant")
+    config = write_json(tmp / "config.json", doc)
+    capsys.readouterr()
+    code = cli_main([command, "--config", config, "--out", str(tmp / "out")])
+    assert code in (0, 2, 3, 4), (command, path, key, section.get(key))
+    assert "Traceback" not in capsys.readouterr().err

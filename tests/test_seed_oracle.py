@@ -13,10 +13,10 @@ convolutions and the excitation recursions over the whole panel for every
 likelihood and gradient call.  The tests assert that the block-local pass
 gives bit-identical values, gradients and fits.
 
-The last part holds the original per-cell CSV readers and writers of panels
-and interval files.  The tests assert that the array readers and writers
-produce byte-identical files, read back bit-identical arrays and raise the
-same exception class on each defective file.
+The last part holds the original per-cell CSV readers and writers of panels,
+interval files and edge lists.  The tests assert that the array readers and
+writers produce byte-identical files, read back bit-identical arrays and
+raise the same exception class on each defective file.
 """
 
 import csv
@@ -35,11 +35,14 @@ from graphcp.conformal import IntervalSeries, read_interval_series, run_conforma
 from graphcp.errors import (
     AlignmentError,
     DimensionMismatch,
+    DuplicateEdge,
     InsufficientHistory,
     MalformedRow,
     MissingCell,
     NegativeCount,
     NonIntegerCount,
+    SymmetricEdgePair,
+    UnknownNodeReference,
 )
 from graphcp.model import (
     INTENSITY_FLOOR,
@@ -57,7 +60,14 @@ from graphcp.model import (
     log_likelihood,
     softplus,
 )
-from graphcp.panel import PanelDataset, ServiceGraph, load_panel, write_panel
+from graphcp.panel import (
+    PanelDataset,
+    ServiceGraph,
+    load_graph,
+    load_panel,
+    write_graph,
+    write_panel,
+)
 from graphcp.qrf import ForestConfig, fit_forest
 from tests.test_conformal import small_setup
 
@@ -767,6 +777,22 @@ def oracle_load_panel(weather_file, counts_file):
     return PanelDataset.build(weather, counts)
 
 
+def oracle_load_graph(edge_file, n_nodes=None):
+    edges = []
+    for row in oracle_open_rows(edge_file, ["src", "dst", "weight"], optional_last=True):
+        if len(row) not in (2, 3):
+            raise MalformedRow(f"{edge_file}: row {row} is not src,dst[,weight]")
+        src = oracle_parse_int(row[0], "src", row, edge_file)
+        dst = oracle_parse_int(row[1], "dst", row, edge_file)
+        weight = oracle_parse_float(row[2], "weight", row, edge_file) if len(row) == 3 else 1.0
+        edges.append((src, dst, weight))
+    if n_nodes is None:
+        if not edges:
+            raise MalformedRow(f"{edge_file}: no edges and no n_nodes given; node count unknown")
+        n_nodes = 1 + max(max(s, d) for s, d, _ in edges)
+    return ServiceGraph.from_edges(n_nodes, edges)
+
+
 def oracle_write_panel(panel, weather_file, counts_file):
     with Path(weather_file).open("w", encoding="utf-8", newline="") as handle:
         handle.write("unit,time,variable,value\n")
@@ -1076,3 +1102,104 @@ def test_interval_defects_raise_alignment_error_like_oracle(tmp_path, edit):
         oracle_read_interval_series(path)
     with pytest.raises(AlignmentError):
         read_interval_series(path)
+
+
+# --------------------------------------------------------------------------
+# Edge lists against the oracle
+# --------------------------------------------------------------------------
+
+EDGE_WEIGHTS = [0.0, -0.0, 5e-324, 1.0, 0.1, 1 / 3, 1e16, 1e-5, 1.7976931348623157e308]
+
+
+def random_graph(seed, k, n_edges):
+    """A random DAG on k nodes (edges run from lower to higher id) with odd weights."""
+    rng = np.random.default_rng(seed)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    picks = rng.choice(len(pairs), size=min(n_edges, len(pairs)), replace=False)
+    weights = rng.exponential(2.0, size=picks.size) * 10.0 ** rng.integers(-6, 7, size=picks.size)
+    weights[: len(EDGE_WEIGHTS)] = EDGE_WEIGHTS[: picks.size]
+    edges = [(*pairs[i], float(w)) for i, w in zip(picks, weights)]
+    return ServiceGraph.from_edges(k, edges)
+
+
+def assert_same_graph(graph, expected):
+    assert graph == expected
+    assert bits([w for _, _, w in graph.edges]).tolist() == bits(
+        [w for _, _, w in expected.edges]
+    ).tolist()
+
+
+@pytest.mark.parametrize("seed, k, n_edges", [(0, 1, 0), (1, 2, 1), (2, 6, 9), (3, 30, 120)])
+@pytest.mark.parametrize("edit", [None, shuffled, with_blank_lines, quoted, padded, crlf])
+def test_load_graph_matches_oracle(tmp_path, seed, k, n_edges, edit):
+    graph = random_graph(seed, k, n_edges)
+    path = tmp_path / "graph.csv"
+    write_graph(graph, path)
+    if edit is not None:
+        rewrite(path, edit)
+    assert_same_graph(load_graph(path, n_nodes=k), oracle_load_graph(path, n_nodes=k))
+    if graph.n_edges:
+        assert_same_graph(load_graph(path), oracle_load_graph(path))
+    without_weights = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+    rewrite(path, lambda lines: without_weights)
+    assert_same_graph(load_graph(path, n_nodes=k), oracle_load_graph(path, n_nodes=k))
+
+
+# (edit, n_nodes, class): each edit of a valid 4-node edge list makes one defect
+GRAPH_DEFECTS = [
+    (lambda lines: ["src,dest,weight"] + lines[1:], None, MalformedRow),
+    (lambda lines: [], None, MalformedRow),
+    (lambda lines: lines[:1], None, MalformedRow),
+    (replace_row(2, "0,x,1.0"), None, MalformedRow),
+    (replace_row(2, "0,2.0,1.0"), None, MalformedRow),
+    (replace_row(2, "0,2,abc"), None, MalformedRow),
+    (replace_row(2, "0,2,"), None, MalformedRow),
+    (replace_row(2, "0,2,1.0,7"), None, MalformedRow),
+    (replace_row(2, "0"), None, MalformedRow),
+    (lambda lines: lines[:2] + ["   "] + lines[2:], None, MalformedRow),
+    (replace_row(2, "2,2,1.0"), None, MalformedRow),
+    (replace_row(2, "0,2,-1.0"), None, MalformedRow),
+    (replace_row(2, "0,2,nan"), None, MalformedRow),
+    (replace_row(2, "0,2,inf"), None, MalformedRow),
+    (lambda lines: lines + [lines[1]], None, DuplicateEdge),
+    (lambda lines: lines + ["1,0,1.0"], None, SymmetricEdgePair),
+    (replace_row(2, "-1,2,1.0"), None, UnknownNodeReference),
+    (replace_row(2, "0,4,1.0"), 4, UnknownNodeReference),
+]
+
+
+def valid_edge_file(path):
+    path.write_text("src,dst,weight\n0,1,1.0\n0,2,0.5\n1,3,2.0\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit, n_nodes, expected", GRAPH_DEFECTS)
+def test_load_graph_defects_raise_oracle_class(tmp_path, edit, n_nodes, expected):
+    path = tmp_path / "graph.csv"
+    valid_edge_file(path)
+    rewrite(path, edit)
+    with pytest.raises(expected) as oracle_error:
+        oracle_load_graph(path, n_nodes=n_nodes)
+    assert type(oracle_error.value) is expected
+    with pytest.raises(expected) as error:
+        load_graph(path, n_nodes=n_nodes)
+    assert type(error.value) is expected
+
+
+# tokens the per-row reader took through int() and float() and rows of
+# either width under either header; the table reader rejects them
+STRICTER_EDGE_ROWS = [
+    replace_row(2, "0,1_0,1.0"),
+    replace_row(2, "0,2,1_0.5"),
+    replace_row(2, "0,2"),
+    lambda lines: ["src,dst", "0,1", "0,2,0.5"],
+]
+
+
+@pytest.mark.parametrize("edit", STRICTER_EDGE_ROWS)
+def test_load_graph_rejects_what_the_oracle_read_leniently(tmp_path, edit):
+    path = tmp_path / "graph.csv"
+    valid_edge_file(path)
+    rewrite(path, edit)
+    oracle_load_graph(path)
+    with pytest.raises(MalformedRow):
+        load_graph(path)
