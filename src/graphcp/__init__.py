@@ -3,9 +3,7 @@
 from .conformal import (
     METHODS,
     IntervalSeries,
-    ResidualHistory,
     build_qrf_training_set,
-    graph_cp_step,
     poisson_interval,
     read_interval_series,
     run_conformal,
@@ -23,7 +21,6 @@ from .model import (
     INTENSITY_FLOOR,
     FitConfig,
     FitResult,
-    IntensityField,
     ModelParams,
     ParamPacker,
     ResponseWeights,
@@ -32,7 +29,6 @@ from .model import (
     fit,
     init_params,
     intensity,
-    intensity_field,
     likelihood_gradient,
     load_params,
     log_likelihood,
@@ -51,19 +47,7 @@ from .panel import (
     write_panel,
 )
 from .pipeline import PipelineResult, run_pipeline
-from .qrf import FittedForest, ForestConfig, fit_forest, pinball_loss
-from .synth import (
-    GraphSpec,
-    NoiseSpec,
-    ScenarioConfig,
-    StormPulse,
-    WeatherSpec,
-    branching_matrix,
-    excitation_mass,
-    iid_mean_function,
-    simulate,
-    simulate_iid,
-    spectral_radius,
-)
+from .qrf import FittedForest, ForestConfig, fit_forest
+from .synth import GraphSpec, ScenarioConfig, StormPulse, WeatherSpec, simulate
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ per (node, refit round) covering every step until the next refit.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientHistory,
     UnknownMethod,
+    ValidationError,
 )
 from .model import ModelParams, intensity
 from .panel import DataSplit, PanelDataset, ServiceGraph, read_table, write_csv
@@ -42,12 +42,10 @@ from .qrf import ForestConfig, fit_forest
 
 __all__ = [
     "METHODS",
-    "ResidualHistory",
     "IntervalSeries",
     "vanilla_cp",
     "poisson_interval",
     "build_qrf_training_set",
-    "graph_cp_step",
     "run_conformal",
     "read_interval_series",
 ]
@@ -77,44 +75,6 @@ def _check_window(capacity: int, window: int) -> None:
             f"window must satisfy 1 <= window < capacity, got "
             f"window={window}, capacity={capacity}"
         )
-
-
-class ResidualHistory:
-    """Per-node ring buffers of signed residuals, capped at ``capacity``.
-
-    ``window`` is the lag order used to build forest features and must be
-    strictly smaller than the capacity, otherwise no (feature, target) pair
-    ever fits in a full buffer.
-    """
-
-    def __init__(self, n_nodes: int, capacity: int, window: int):
-        _check_window(capacity, window)
-        self.capacity = int(capacity)
-        self.window = int(window)
-        self._buffers = [deque(maxlen=capacity) for _ in range(n_nodes)]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self._buffers)
-
-    def append(self, node: int, value: float) -> None:
-        self._buffers[node].append(float(value))
-
-    def count(self, node: int) -> int:
-        return len(self._buffers[node])
-
-    def values(self, node: int) -> np.ndarray:
-        """Residuals oldest to newest."""
-        return np.array(self._buffers[node], dtype=np.float64)
-
-    def latest_window(self, node: int) -> np.ndarray:
-        """The freshest ``window`` residuals, newest first (the query features)."""
-        buf = self._buffers[node]
-        if len(buf) < self.window:
-            raise InsufficientHistory(
-                f"node {node} has {len(buf)} residuals, need {self.window}"
-            )
-        return np.array([buf[-1 - i] for i in range(self.window)], dtype=np.float64)
 
 
 @dataclass
@@ -179,6 +139,11 @@ def read_interval_series(path) -> IntervalSeries:
 # --------------------------------------------------------------------------
 
 
+def _vanilla_rank(alpha: float, n: int) -> int:
+    # the slack keeps e.g. 0.8 * 5 = 4.000000000000001 from ceiling to 5
+    return int(math.ceil((1.0 - alpha) * (n + 1) - 1e-9))
+
+
 def vanilla_cp(residuals, alpha: float, point):
     """Symmetric split-conformal interval from absolute residuals.
 
@@ -194,8 +159,7 @@ def vanilla_cp(residuals, alpha: float, point):
         raise InsufficientHistory("vanilla interval needs at least one residual")
     if not 0.0 < alpha < 1.0:
         raise DimensionMismatch(f"alpha must lie in (0, 1), got {alpha}")
-    # the slack keeps e.g. 0.8 * 5 = 4.000000000000001 from ceiling to 5
-    rank = int(math.ceil((1.0 - alpha) * (n + 1) - 1e-9))
+    rank = _vanilla_rank(alpha, n)
     if rank > n:
         half = np.full(residuals.shape[:-1], math.inf)
     else:
@@ -220,25 +184,19 @@ def poisson_interval(rate, alpha: float):
     return lower, upper
 
 
-def build_qrf_training_set(history, nodes, window: "int | None" = None):
+def build_qrf_training_set(buffered, nodes, window: int):
     """Pooled lagged-residual rows over the given nodes.
 
-    ``history`` is a ResidualHistory, or a (K, L) array of every node's
-    buffered residuals, oldest to newest, in which case ``window`` is
-    required.  Each node with L residuals contributes L - window rows;
+    ``buffered`` is a (K, L) array of every node's buffered residuals,
+    oldest to newest.  Each listed node contributes L - window rows;
     features are ``window`` consecutive residuals ordered newest first, the
     target is the residual immediately after them.
     """
-    if isinstance(history, ResidualHistory):
-        window = history.window if window is None else int(window)
-        series_of = history.values
-    else:
-        buffered = np.asarray(history, dtype=np.float64)
-        window = int(window)
-        series_of = buffered.__getitem__
+    buffered = np.asarray(buffered, dtype=np.float64)
+    window = int(window)
     features, targets = [], []
     for node in sorted(int(n) for n in nodes):
-        series = series_of(node)
+        series = buffered[node]
         if series.shape[0] < window + 1:
             raise InsufficientHistory(
                 f"node {node} has {series.shape[0]} residuals, need {window + 1}"
@@ -247,25 +205,6 @@ def build_qrf_training_set(history, nodes, window: "int | None" = None):
         features.append(lagged[: series.shape[0] - window, ::-1])
         targets.append(series[window:])
     return np.concatenate(features, axis=0), np.concatenate(targets, axis=0)
-
-
-def _quantile_levels(alpha: float) -> np.ndarray:
-    return np.array([alpha / 2.0, 1.0 - alpha / 2.0])
-
-
-def graph_cp_step(
-    node: int,
-    neighbors,
-    history: ResidualHistory,
-    forest_config: ForestConfig,
-    alpha: float,
-    point: float,
-):
-    """One prediction step for one node: fit on N(node), query, widen around point."""
-    features, targets = build_qrf_training_set(history, neighbors)
-    forest = fit_forest(features, targets, forest_config)
-    q_low, q_high = forest.quantile(history.latest_window(node), _quantile_levels(alpha))
-    return point + float(q_low), point + float(q_high)
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +242,9 @@ def run_conformal(
     Residual buffers warm up on the last ``calib_window`` calibration steps
     (default: the whole calibration range) and ingest each test residual
     after the step's intervals are emitted.  Forest methods refit every
-    ``retrain_stride`` steps (None or inf: fit once).
+    ``retrain_stride`` steps (None or inf: fit once).  A NaN or overflowed
+    bound raises ValidationError; only vanilla's infinite half-width may be
+    infinite.
     """
     if method not in METHODS:
         raise UnknownMethod(f"method {method!r} not in {METHODS}")
@@ -353,7 +294,7 @@ def run_conformal(
             resid, points, pools, alpha, window, calib_window, stride, forest_config, seed
         )
 
-    return IntervalSeries(
+    series = IntervalSeries(
         method=method,
         node=np.tile(np.arange(k, dtype=np.int64), n_test),
         time=np.repeat(np.arange(test_lo, test_hi + 1, dtype=np.int64), k),
@@ -362,6 +303,18 @@ def run_conformal(
         upper=upper.T.ravel(),
         y_true=counts[:, test_lo - 1 : test_hi].T.ravel().astype(np.float64),
     )
+    # vanilla's half-width is infinite in every cell when its rank exceeds
+    # the calib_window residuals; any other non-finite bound is an overflow
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    if not finite.all() and not (
+        method == "vanilla" and _vanilla_rank(alpha, calib_window) > calib_window
+    ):
+        j, s = np.argwhere(~finite)[0]
+        raise ValidationError(
+            f"conformal: {method} bounds [{lower[j, s]}, {upper[j, s]}] at node {j}, "
+            f"time {test_lo + s} are not finite"
+        )
+    return series
 
 
 def _forest_intervals(
@@ -377,7 +330,7 @@ def _forest_intervals(
     # the freshest ``window`` buffered residuals, newest first
     lags = np.lib.stride_tricks.sliding_window_view(resid, window, axis=1)[:, :, ::-1]
     offset = calib_window - window
-    levels = _quantile_levels(alpha)
+    levels = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
     starts = [0] if stride is None else list(range(0, n_test, stride))
     lower, upper = np.empty((k, n_test)), np.empty((k, n_test))
     for refit, (lo, hi) in enumerate(zip(starts, starts[1:] + [n_test])):

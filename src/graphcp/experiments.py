@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ForestConfig, run_conformal
-from .evaluate import MethodReport, coverage_metrics
 from .model import FitConfig, ModelParams, ResponseWeights, fit, init_params
-from .panel import split
+from .pipeline import run_stages
+from .qrf import ForestConfig
 from .synth import GraphSpec, ScenarioConfig, StormPulse, WeatherSpec, simulate
 
 __all__ = [
@@ -201,40 +200,18 @@ def run_storm_benchmark(
 ) -> StormBenchmarkResult:
     """One seed of the storm comparison; returns per-method reports."""
     start = time.time()
-    scenario = storm_scenario(seed)
-    graph = scenario.graph.build()
-    panel = simulate(scenario)
-    data_split = split(panel, (1 / 3, 1 / 3, 1 / 3))
-    init = init_params(graph, 2, hidden=_STORM_HIDDEN, window=24, seed=seed + 1)
-    fitted = fit(
-        panel,
-        graph,
-        init,
-        FitConfig(
-            learning_rate=2e-2,
-            epochs=40,
-            batch_len=250,
-            momentum=0.9,
-            seed=seed + 2,
-        ),
-        time_range=data_split.train,
+    result = run_stages(
+        storm_scenario(seed),
+        (1 / 3, 1 / 3, 1 / 3),
+        {"hidden": _STORM_HIDDEN, "window": 24, "seed": seed + 1},
+        FitConfig(learning_rate=2e-2, epochs=40, batch_len=250, momentum=0.9, seed=seed + 2),
+        methods,
+        {
+            "alpha": alpha,
+            "window": window,
+            "calib_window": calib_window,
+            "retrain_stride": retrain_stride,
+            "forest_config": ForestConfig(n_trees=15, min_leaf=30, seed=seed + 3),
+        },
     )
-    forest_config = ForestConfig(n_trees=15, min_leaf=30, seed=seed + 3)
-    reports: dict[str, MethodReport] = {}
-    for method in methods:
-        series = run_conformal(
-            panel,
-            graph,
-            fitted.params,
-            data_split,
-            method,
-            alpha=alpha,
-            window=window,
-            calib_window=calib_window,
-            retrain_stride=retrain_stride,
-            forest_config=forest_config,
-        )
-        reports[method] = coverage_metrics(series, truths=panel.counts)
-    return StormBenchmarkResult(
-        seed=seed, reports=reports, elapsed_s=time.time() - start
-    )
+    return StormBenchmarkResult(seed=seed, reports=result.reports, elapsed_s=time.time() - start)

@@ -45,7 +45,6 @@ __all__ = [
     "INTENSITY_FLOOR",
     "ResponseWeights",
     "ModelParams",
-    "IntensityField",
     "FitConfig",
     "FitResult",
     "ParamPacker",
@@ -55,7 +54,6 @@ __all__ = [
     "weather_response",
     "excitation",
     "intensity",
-    "intensity_field",
     "log_likelihood",
     "likelihood_gradient",
     "fit",
@@ -395,14 +393,6 @@ def excitation(counts: np.ndarray, decay, *, _with_sensitivity=False):
     return excite
 
 
-@dataclass(frozen=True)
-class IntensityField:
-    """Floored rate matrix plus the excitation accumulator that produced it."""
-
-    rates: np.ndarray  # (K, T)
-    excitation: np.ndarray  # (K, T)
-
-
 @dataclass
 class _Forward:
     """One forward pass over the columns ``cols`` of the panel.
@@ -511,11 +501,6 @@ def intensity(
     return rates[:, time - 1]
 
 
-def intensity_field(panel, graph, params) -> IntensityField:
-    fwd = _forward(panel, graph, params)
-    return IntensityField(rates=fwd.rates, excitation=fwd.excite)
-
-
 def predict(panel, graph, params, time: "int | None" = None):
     """One-step-ahead point forecast: the Poisson mean given observed history.
 
@@ -590,19 +575,6 @@ class ParamPacker:
         }
         self.size = int(bounds[-1])
 
-    def names(self) -> list[str]:
-        out = [f"coupling[{src}->{dst}]" for src, dst in self.edge_order]
-        out += [f"decay[{i}]" for i in range(self.n_nodes)]
-        out += [f"scale[{i}]" for i in range(self.n_nodes)]
-        out += [f"weather_decay[{m}]" for m in range(self.n_vars)]
-        out += [
-            f"w_hidden[{h},{m}]" for h in range(self.hidden) for m in range(self.n_vars)
-        ]
-        out += [f"b_hidden[{h}]" for h in range(self.hidden)]
-        out += [f"w_out[{h}]" for h in range(self.hidden)]
-        out += ["b_out"]
-        return out
-
     def pack(self, params: ModelParams) -> np.ndarray:
         if params.response.hidden_units != self.hidden or params.n_vars != self.n_vars:
             raise DimensionMismatch("params do not match this packer's dimensions")
@@ -618,26 +590,6 @@ class ParamPacker:
         raw[self.slices["w_out"]] = params.response.w_out
         raw[self.slices["b_out"]] = params.response.b_out
         return raw
-
-    def unpack(self, raw: np.ndarray, like: ModelParams) -> ModelParams:
-        raw = np.asarray(raw, dtype=np.float64)
-        coupling_vals = softplus(raw[self.slices["coupling"]])
-        return ModelParams(
-            coupling={
-                edge: float(val) for edge, val in zip(self.edge_order, coupling_vals)
-            },
-            decay=softplus(raw[self.slices["decay"]]),
-            scale=softplus(raw[self.slices["scale"]]),
-            weather_decay=softplus(raw[self.slices["weather_decay"]]),
-            response=ResponseWeights(
-                raw[self.slices["w_hidden"]].reshape(self.hidden, self.n_vars),
-                raw[self.slices["b_hidden"]],
-                raw[self.slices["w_out"]],
-                float(raw[self.slices["b_out"]][0]),
-            ),
-            window=like.window,
-            seed=like.seed,
-        )
 
     def unpack_preserving(
         self, raw: np.ndarray, raw_init: np.ndarray, init: ModelParams

@@ -214,20 +214,6 @@ class DataSplit:
                 "ordered, contiguous, 1-based"
             )
 
-    @staticmethod
-    def _slice(rng: tuple[int, int]) -> slice:
-        return slice(rng[0] - 1, rng[1])
-
-    def train_slice(self) -> slice:
-        return self._slice(self.train)
-
-    def calibration_slice(self) -> slice:
-        return self._slice(self.calibration)
-
-    def test_slice(self) -> slice:
-        return self._slice(self.test)
-
-
 def split(panel: PanelDataset, fractions: "tuple[float, float, float]") -> DataSplit:
     """Partition 1..T into train/calibration/test by rounded fractions.
 

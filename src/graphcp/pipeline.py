@@ -7,6 +7,9 @@ is byte-reproducible from a single integer.
 This module also holds the one parser of each stage's settings and the one
 writer of each stage's files.  ``run_pipeline`` and the ``graphcp``
 subcommands call them with their own section names, defaults and seeds.
+``run_stages`` is the in-memory stage chain that ``run_pipeline`` and the
+storm benchmark share; ``run_pipeline`` writes only after it returns, so a
+run that fails in a stage leaves no files.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .conformal import ForestConfig, IntervalSeries, run_conformal
-from .errors import ConfigError, NoEligibleNodes, coerce, done, take
+from .errors import ConfigError, NoEligibleNodes, ValidationError, coerce, done, take
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, FitResult, fit, init_params, save_params
 from .panel import (
@@ -32,12 +37,12 @@ from .panel import (
 )
 from .synth import ScenarioConfig, simulate
 
-__all__ = ["PipelineResult", "run_pipeline"]
+__all__ = ["PipelineResult", "run_pipeline", "run_stages"]
 
 
 @dataclass
 class PipelineResult:
-    out_dir: Path
+    out_dir: "Path | None"
     panel: PanelDataset
     graph: ServiceGraph
     data_split: DataSplit
@@ -159,9 +164,16 @@ def write_data(out: Path, panel: PanelDataset, graph: ServiceGraph, seed: int) -
 
 
 def write_predictions(path, rates, lo: int, hi: int) -> None:
-    """predictions.csv: every node's rate at the 1-based times ``lo..hi``."""
+    """predictions.csv: every node's rate at the 1-based times ``lo..hi``, all finite."""
+    written = rates[:, lo - 1 : hi]
+    bad = np.argwhere(~np.isfinite(written))
+    if bad.shape[0]:
+        node, s = bad[0]
+        raise ValidationError(
+            f"predict: rate {written[node, s]} at node {node}, time {lo + s} is not finite"
+        )
     times = [f"{t}," for t in range(lo, hi + 1)]
-    rows = (unit_lines(node, times, rates[node, lo - 1 : hi]) for node in range(len(rates)))
+    rows = (unit_lines(node, times, written[node]) for node in range(len(rates)))
     write_csv(path, "node,time,f_hat\n", rows)
 
 
@@ -179,8 +191,30 @@ def write_winner(path, table) -> None:
     write_csv(path, "method,win_fraction,wins,n_eligible\n", rows)
 
 
+def run_stages(
+    scenario: ScenarioConfig, fractions, init_kwargs: dict, fit_config, methods, run_kwargs: dict
+) -> PipelineResult:
+    """simulate -> split -> fit -> run_conformal and coverage_metrics per method.
+
+    Everything stays in memory; ``out_dir`` and ``winner`` are left None.
+    """
+    graph = scenario.graph.build()
+    panel = simulate(scenario)
+    data_split = split(panel, fractions)
+    init = init_params(graph, panel.n_vars, **init_kwargs)
+    fit_result = fit(panel, graph, init, fit_config, time_range=data_split.train)
+    series: dict[str, IntervalSeries] = {}
+    reports: dict[str, MethodReport] = {}
+    for method in methods:
+        series[method] = run_conformal(
+            panel, graph, fit_result.params, data_split, method, **run_kwargs
+        )
+        reports[method] = coverage_metrics(series[method], truths=panel.counts)
+    return PipelineResult(None, panel, graph, data_split, fit_result, series, reports, None)
+
+
 def run_pipeline(config: dict, out_dir) -> PipelineResult:
-    """Run every stage described by the config dict under ``out_dir``."""
+    """Run every stage described by the config dict, then write under ``out_dir``."""
     out = Path(out_dir)
     config = dict(config)
     seed = read_seed(config)
@@ -198,44 +232,23 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
     for doc, where in ((conf_doc, "conformal."), (eval_doc, "evaluate."), (config, "")):
         done(doc, where)
 
-    graph = scenario.graph.build()
-    panel = simulate(scenario)
-    write_data(out / "data", panel, graph, seed)
+    result = run_stages(scenario, fractions, init_kwargs, fit_config, methods, run_kwargs)
+    result.out_dir = out
+    write_data(out / "data", result.panel, result.graph, seed)
     write_json(out / "data" / "scenario.json", scenario.to_dict())
-
-    data_split = split(panel, fractions)
-    init = init_params(graph, panel.n_vars, **init_kwargs)
-    fit_result = fit(panel, graph, init, fit_config, time_range=data_split.train)
     (out / "model").mkdir(parents=True, exist_ok=True)
-    save_params(fit_result.params, out / "model" / "params.json")
-
+    save_params(result.fit_result.params, out / "model" / "params.json")
     (out / "intervals").mkdir(parents=True, exist_ok=True)
-    series: dict[str, IntervalSeries] = {}
-    reports: dict[str, MethodReport] = {}
-    for method in methods:
-        one = run_conformal(panel, graph, fit_result.params, data_split, method, **run_kwargs)
+    for method, one in result.series.items():
         one.to_csv(out / "intervals" / f"intervals_{method}.csv")
-        series[method] = one
-        reports[method] = coverage_metrics(one, truths=panel.counts)
 
-    alpha = run_kwargs["alpha"]
+    reports, alpha = result.reports, run_kwargs["alpha"]
     write_metrics(out / "metrics.json", alpha, reports)
     violin_export([reports[m] for m in sorted(reports)], out / "violin.csv")
-    winner = None
     if len(reports) >= 2:
         try:
-            winner = winner_table(reports.values(), alpha=alpha, outage_threshold=threshold)
+            result.winner = winner_table(reports.values(), alpha=alpha, outage_threshold=threshold)
         except NoEligibleNodes:
             pass
-        write_winner(out / "winner.csv", winner)
-
-    return PipelineResult(
-        out_dir=out,
-        panel=panel,
-        graph=graph,
-        data_split=data_split,
-        fit_result=fit_result,
-        series=series,
-        reports=reports,
-        winner=winner,
-    )
+        write_winner(out / "winner.csv", result.winner)
+    return result

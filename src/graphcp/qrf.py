@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch
 
-__all__ = ["ForestConfig", "FittedForest", "fit_forest", "pinball_loss"]
+__all__ = ["ForestConfig", "FittedForest", "fit_forest"]
 
 # guards float round-off when cumulative weights land exactly on a level
 _LEVEL_SLACK = 1e-9
@@ -221,7 +221,11 @@ def _best_split(xt, y, sorted_rows, feats, min_leaf):
     pos = np.argmin(score, axis=1)  # first minimum per feature: lowest threshold
     best = score[np.arange(feats.shape[0]), pos]
     i = int(candidates[np.argmin(best[candidates])])  # first: lowest feature
-    return int(feats[i]), 0.5 * (xs[i, pos[i]] + xs[i, pos[i] + 1])
+    lo, hi = float(xs[i, pos[i]]), float(xs[i, pos[i] + 1])
+    mid = 0.5 * (lo + hi)
+    # x <= lo is the scored partition; the midpoint of neighbouring doubles
+    # can round up to hi, and lo + hi can overflow to inf
+    return int(feats[i]), mid if lo <= mid < hi else lo
 
 
 def _grow_tree(x, y, orig, config: ForestConfig, mtry: int, rng) -> _Tree:
@@ -251,16 +255,20 @@ def _grow_tree(x, y, orig, config: ForestConfig, mtry: int, rng) -> _Tree:
         if splittable:
             feats = np.sort(rng.choice(x.shape[1], size=mtry, replace=False))
             split = _best_split(xt, y, sorted_rows, feats, config.min_leaf)
+        if split is not None:
+            f, thr = split
+            goes_left = (xt[f] <= thr)[sorted_rows]
+            # a child holding all of its parent's rows would split forever
+            if not 0 < np.count_nonzero(goes_left[0]) < sorted_rows.shape[1]:
+                split = None
         if split is None:
             members[node] = orig[np.sort(sorted_rows[0])]
             continue
-        f, thr = split
         feature[node] = f
         threshold[node] = thr
         left_id, right_id = add_node(), add_node()
         left[node] = left_id
         right[node] = right_id
-        goes_left = (xt[f] <= thr)[sorted_rows]
         n_features = sorted_rows.shape[0]
         stack.append((right_id, sorted_rows[~goes_left].reshape(n_features, -1), depth + 1))
         stack.append((left_id, sorted_rows[goes_left].reshape(n_features, -1), depth + 1))
@@ -305,12 +313,3 @@ def fit_forest(features, targets, config: "ForestConfig | None" = None) -> Fitte
             sample = np.arange(n)
         trees.append(_grow_tree(x[sample], y[sample], sample, config, mtry, rng))
     return FittedForest(trees=trees, targets=y.copy(), n_features=p, config=config)
-
-
-def pinball_loss(x, alpha: float):
-    """Asymmetric quantile loss: alpha * x for x >= 0, (alpha - 1) * x otherwise."""
-    if not 0.0 < alpha < 1.0:
-        raise DimensionMismatch(f"alpha must lie in (0, 1), got {alpha}")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(x >= 0, alpha * x, (alpha - 1.0) * x)
-    return float(out) if out.ndim == 0 else out

@@ -12,7 +12,7 @@ import pytest
 import graphcp as g
 from graphcp.experiments import run_recovery, run_storm_benchmark
 from graphcp.model import ParamPacker, likelihood_gradient
-from graphcp.synth import NoiseSpec, iid_mean_function, simulate_iid
+from tests.support import NoiseSpec, iid_mean_function, simulate_iid
 from tests.test_model import brute_excitation, fd_gradient, rand_instance
 
 

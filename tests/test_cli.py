@@ -234,6 +234,37 @@ def test_predict_range_outside_panel_exits_4(tmp_path):
         assert not (out / "predictions.csv").exists()
 
 
+def edited_run(tmp_path, capsys, command, key, value, method=None):
+    """Exit code and stderr of ``command`` on the fitted params with ``key[0] = value``."""
+    inputs = fitted_model(tmp_path)
+    params = json.loads(Path(inputs["params_file"]).read_text())
+    params[key][0] = value
+    doc = {**inputs, "params_file": write_json(tmp_path / "edited.json", params)}
+    argv = [command, "--config", write_json(tmp_path / "run.json", doc)]
+    argv += ["--out", str(tmp_path / "out")] + (["--method", method] if method else [])
+    capsys.readouterr()
+    code = cli_main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_predict_nonfinite_rate_exits_4(tmp_path, capsys):
+    # decay 1e308 overflows the excitation recursion: inf * exp(-1e308) = nan
+    code, err = edited_run(tmp_path, capsys, "predict", "decay", 1e308)
+    assert code == 4
+    assert "ValidationError" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["poisson", "vanilla"])
+def test_conformal_nonfinite_bounds_exit_4(tmp_path, capsys, method):
+    # scale 1e308 keeps the rates finite, but Poisson quantiles of such a
+    # rate are nan and vanilla's point + half-width overflows to inf
+    code, err = edited_run(tmp_path, capsys, "conformal", "scale", 1e308, method)
+    assert code == 4
+    assert "ValidationError" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / f"intervals_{method}.csv").exists()
+
+
 def test_fit_zero_batch_len_exits_2(tmp_path):
     inputs = fitted_model(tmp_path)
     del inputs["params_file"]

@@ -6,18 +6,18 @@ from scipy import stats
 
 from graphcp.conformal import (
     IntervalSeries,
-    ResidualHistory,
+    _check_window,
+    _derived_forest_config,
     build_qrf_training_set,
-    graph_cp_step,
     poisson_interval,
     read_interval_series,
     run_conformal,
     vanilla_cp,
 )
 from graphcp.errors import InsufficientHistory, UnknownMethod
-from graphcp.model import ModelParams, ResponseWeights
+from graphcp.model import ModelParams, ResponseWeights, intensity
 from graphcp.panel import ServiceGraph, split
-from graphcp.qrf import ForestConfig
+from graphcp.qrf import ForestConfig, fit_forest
 from graphcp.synth import GraphSpec, ScenarioConfig, WeatherSpec, simulate
 
 
@@ -81,62 +81,53 @@ def test_poisson_interval_matches_cdf_oracle():
 
 def test_history_window_and_capacity_validation():
     with pytest.raises(InsufficientHistory):
-        ResidualHistory(2, capacity=5, window=5)
-    history = ResidualHistory(2, capacity=3, window=2)
-    for value in (1.0, 2.0, 3.0, 4.0):
-        history.append(0, value)
-    np.testing.assert_array_equal(history.values(0), [2.0, 3.0, 4.0])
-    assert history.count(1) == 0
-
-
-def test_latest_window_is_newest_first():
-    history = ResidualHistory(1, capacity=10, window=3)
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-        history.append(0, value)
-    np.testing.assert_array_equal(history.latest_window(0), [5.0, 4.0, 3.0])
+        _check_window(5, 5)
+    with pytest.raises(InsufficientHistory):
+        _check_window(1, 1)
+    with pytest.raises(InsufficientHistory):
+        _check_window(3, 0)
+    _check_window(3, 2)
 
 
 # ---------------------------------------------------------------- features
 
 
 def test_training_rows_single_node_ordering():
-    history = ResidualHistory(1, capacity=10, window=2)
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-        history.append(0, value)
-    features, targets = build_qrf_training_set(history, [0])
+    buffered = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    features, targets = build_qrf_training_set(buffered, [0], 2)
     np.testing.assert_array_equal(features, [[2.0, 1.0], [3.0, 2.0], [4.0, 3.0]])
     np.testing.assert_array_equal(targets, [3.0, 4.0, 5.0])
 
 
 def test_training_rows_pooled_count():
-    history = ResidualHistory(3, capacity=10, window=2)
-    for node in range(3):
-        for value in range(5):
-            history.append(node, float(value + node))
-    features, targets = build_qrf_training_set(history, [0, 1, 2])
+    buffered = np.array([[float(value + node) for value in range(5)] for node in range(3)])
+    features, targets = build_qrf_training_set(buffered, [0, 1, 2], 2)
     assert features.shape == (9, 2)
     assert targets.shape == (9,)
 
 
 def test_training_rows_insufficient_history():
-    history = ResidualHistory(1, capacity=10, window=3)
-    for value in (1.0, 2.0, 3.0):
-        history.append(0, value)
     with pytest.raises(InsufficientHistory):
-        build_qrf_training_set(history, [0])
+        build_qrf_training_set(np.array([[1.0, 2.0, 3.0]]), [0], 3)
 
 
 # ---------------------------------------------------------------- step
 
 
+def forest_interval(buffered, node, pool, window, config, alpha, point):
+    """One node's forest interval: fit on the pool's rows, query the node's
+    freshest ``window`` residuals (newest first), widen around ``point``."""
+    features, targets = build_qrf_training_set(buffered, pool, window)
+    forest = fit_forest(features, targets, config)
+    q = forest.quantile(buffered[node, ::-1][:window], np.array([alpha / 2, 1 - alpha / 2]))
+    return point + q[0], point + q[1]
+
+
 def test_graph_cp_step_interval_structure():
     rng = np.random.default_rng(0)
-    history = ResidualHistory(3, capacity=60, window=4)
-    for node in range(3):
-        for value in rng.normal(0.0, 1.0, size=60):
-            history.append(node, float(value))
+    buffered = rng.normal(0.0, 1.0, size=(3, 60))
     config = ForestConfig(n_trees=10, min_leaf=5, seed=1)
-    lower, upper = graph_cp_step(0, [0, 1, 2], history, config, alpha=0.1, point=10.0)
+    lower, upper = forest_interval(buffered, 0, [0, 1, 2], 4, config, alpha=0.1, point=10.0)
     assert lower <= upper
     assert lower > 10.0 - 8.0 and upper < 10.0 + 8.0  # residual scale ~ N(0,1)
 
@@ -144,29 +135,33 @@ def test_graph_cp_step_interval_structure():
 def test_graph_cp_step_hand_interval():
     # single-leaf forest over targets in {-3, 5}: the 0.05 quantile is -3
     # and the 0.95 quantile is 5, so the interval around 10 is [7, 15]
-    history = ResidualHistory(1, capacity=12, window=1)
-    for value in (-3.0, 5.0) * 5:
-        history.append(0, value)
+    buffered = np.array([(-3.0, 5.0) * 5])
     config = ForestConfig(n_trees=1, max_depth=0, bootstrap=False, seed=0)
-    lower, upper = graph_cp_step(0, [0], history, config, alpha=0.1, point=10.0)
+    lower, upper = forest_interval(buffered, 0, [0], 1, config, alpha=0.1, point=10.0)
     assert (lower, upper) == (7.0, 15.0)
 
 
 def test_graph_cp_step_matches_manual_quantiles():
-    from graphcp.qrf import fit_forest
-
-    rng = np.random.default_rng(5)
-    history = ResidualHistory(2, capacity=40, window=3)
-    for node in range(2):
-        for value in rng.normal(size=40):
-            history.append(node, float(value))
+    # run_conformal's first graph interval of each node is the forest fitted
+    # on its neighbourhood's warm-up residuals, queried at the newest window
+    panel, graph, params, data_split = small_setup(6)
     config = ForestConfig(n_trees=6, min_leaf=4, seed=7)
-    lower, upper = graph_cp_step(1, [0, 1], history, config, alpha=0.2, point=5.0)
-    features, targets = build_qrf_training_set(history, [0, 1])
-    forest = fit_forest(features, targets, config)
-    q = forest.quantile(history.latest_window(1), np.array([0.1, 0.9]))
-    assert lower == 5.0 + q[0]
-    assert upper == 5.0 + q[1]
+    series = run_conformal(
+        panel, graph, params, data_split, "graph",
+        alpha=0.2, window=3, retrain_stride=None, forest_config=config,
+    )
+    rates = intensity(panel, graph, params)
+    cal_lo, cal_hi = data_split.calibration
+    test_lo = data_split.test[0]
+    buffered = (panel.counts - rates)[:, cal_lo - 1 : cal_hi]
+    first = series.time == test_lo
+    for j in range(graph.n_nodes):
+        derived = _derived_forest_config(config, 7, j, 0)
+        lower, upper = forest_interval(
+            buffered, j, sorted(graph.neighborhood(j)), 3, derived, 0.2, rates[j, test_lo - 1]
+        )
+        assert series.lower[first][j] == lower
+        assert series.upper[first][j] == upper
 
 
 # ---------------------------------------------------------------- runner

@@ -15,7 +15,6 @@ from graphcp.model import (
     fit,
     init_params,
     intensity,
-    intensity_field,
     likelihood_gradient,
     load_params,
     log_likelihood,
@@ -203,15 +202,6 @@ def test_intensity_recursion_vs_brute_force_coupled():
     assert np.max(np.abs(lam - lam_brute)) <= 1e-10
 
 
-def test_intensity_field_exposes_excitation():
-    graph = ServiceGraph.from_edges(2, [(0, 1)])
-    panel = PanelDataset.build(np.zeros((2, 4, 1)), np.ones((2, 4), dtype=int))
-    params = simple_params(graph)
-    field = intensity_field(panel, graph, params)
-    np.testing.assert_array_equal(field.excitation, excitation(panel.counts, params.decay))
-    assert np.all(field.rates >= INTENSITY_FLOOR)
-
-
 # ------------------------------------------------------- likelihood
 
 
@@ -273,8 +263,8 @@ def fd_gradient(panel, graph, params, packer, step=1e-5):
         up[i] += step
         dn[i] -= step
         out[i] = (
-            log_likelihood(panel, graph, packer.unpack(up, like=params))
-            - log_likelihood(panel, graph, packer.unpack(dn, like=params))
+            log_likelihood(panel, graph, packer.unpack_preserving(up, raw, params))
+            - log_likelihood(panel, graph, packer.unpack_preserving(dn, raw, params))
         ) / (2.0 * step)
     return out
 
@@ -291,11 +281,12 @@ def test_gradient_matches_finite_differences():
 def test_gradient_has_no_self_coupling_coordinate():
     graph, panel, params = rand_instance(4)
     packer = ParamPacker(graph, params.n_vars, params.response.hidden_units)
-    names = packer.names()
-    self_names = {f"coupling[{i}->{i}]" for i in range(graph.n_nodes)}
-    assert not self_names.intersection(names)
-    assert sum(n.startswith("coupling[") for n in names) == graph.n_edges
-    assert packer.size == len(names)
+    assert all(src != dst for src, dst in packer.edge_order)
+    coupling = packer.slices["coupling"]
+    assert coupling.stop - coupling.start == graph.n_edges
+    k, m, h = graph.n_nodes, params.n_vars, params.response.hidden_units
+    # coupling, decay, scale, weather decay, then the response weights
+    assert packer.size == graph.n_edges + 2 * k + m + h * m + 2 * h + 1
 
 
 def test_gradient_zero_for_coupling_without_excitation():

@@ -1,10 +1,14 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcp.errors import DegenerateData, DimensionMismatch
-from graphcp.qrf import ForestConfig, fit_forest, pinball_loss
+from graphcp.qrf import ForestConfig, fit_forest
+from tests.support import simulate_iid
 
 
 def empirical_lower_quantile(targets, level):
@@ -146,8 +150,6 @@ def test_query_dimension_checked():
 
 
 def test_forest_median_beats_constant_median_on_iid_data():
-    from graphcp.synth import simulate_iid
-
     x, y = simulate_iid(2000, seed=12)
     half = 1000
     forest = fit_forest(x[:half, None], y[:half], ForestConfig(n_trees=40, seed=13))
@@ -156,31 +158,73 @@ def test_forest_median_beats_constant_median_on_iid_data():
     loss_const = 0.0
     for xi, yi in zip(x[half:], y[half:]):
         pred = forest.quantile(np.array([xi]), 0.5)
-        loss_forest += pinball_loss(yi - pred, 0.5)
-        loss_const += pinball_loss(yi - global_median, 0.5)
+        # the pinball loss at level 0.5 is half the absolute error
+        loss_forest += 0.5 * abs(yi - pred)
+        loss_const += 0.5 * abs(yi - global_median)
     assert loss_forest <= loss_const
 
 
-# ------------------------------------------------------------ pinball
+# ------------------------------------------------------- split thresholds
 
 
-def test_pinball_hand_values():
-    assert pinball_loss(1.0, 0.9) == pytest.approx(0.9)
-    assert pinball_loss(-1.0, 0.9) == pytest.approx(0.1)
-    assert pinball_loss(0.0, 0.37) == 0.0
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-@given(
-    x=st.floats(-1e6, 1e6, allow_nan=False),
-    alpha=st.floats(0.01, 0.99),
-)
-@settings(max_examples=100, deadline=None)
-def test_pinball_nonnegative(x, alpha):
-    assert pinball_loss(x, alpha) >= 0.0
+def leaf_rows(forest):
+    """Sorted member rows of every leaf of the forest's single tree."""
+    tree = forest.trees[0]
+    return sorted(
+        tree.leaf_members(node).tolist() for node in np.flatnonzero(tree.feature < 0)
+    )
 
 
-def test_pinball_rejects_bad_alpha():
-    with pytest.raises(DimensionMismatch):
-        pinball_loss(1.0, 0.0)
-    with pytest.raises(DimensionMismatch):
-        pinball_loss(1.0, 1.0)
+def test_split_between_adjacent_doubles_terminates():
+    # the midpoint of two neighbouring doubles rounds up to the larger one,
+    # which used to send every row left and push the same node forever
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    x = np.array([a] * 5 + [b] * 5)[:, None]
+    y = np.array([0.0] * 5 + [10.0] * 5)
+    config = ForestConfig(n_trees=1, min_leaf=5, bootstrap=False, seed=0)
+    with time_limit(10):
+        forest = fit_forest(x, y, config)
+    assert forest.trees[0].threshold[0] == a
+    assert leaf_rows(forest) == [list(range(5)), list(range(5, 10))]
+    assert forest.quantile([a], 0.5) == 0.0 and forest.quantile([b], 0.5) == 10.0
+
+
+def test_split_between_adjacent_doubles_matches_scored_partition():
+    # the scored split separates a from b; a threshold rounded up to b put
+    # the b rows left, giving leaves of 10 and 5 with mixed targets
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    x = np.array([a] * 5 + [b] * 5 + [2.0] * 5)[:, None]
+    y = np.array([0.0] * 5 + [10.0] * 10)
+    config = ForestConfig(n_trees=1, max_depth=1, min_leaf=5, bootstrap=False, seed=0)
+    with time_limit(10):
+        forest = fit_forest(x, y, config)
+    assert leaf_rows(forest) == [list(range(5)), list(range(5, 15))]
+
+
+def test_split_near_float_max_terminates():
+    # a + b overflows to -inf, and the midpoint with it
+    x = np.array([-1.5e308, -1.4e308, -1.3e308, -1.2e308])[:, None]
+    y = np.arange(4.0)
+    config = ForestConfig(n_trees=1, min_leaf=1, bootstrap=False, seed=0)
+    with time_limit(10):
+        forest = fit_forest(x, y, config)
+    assert leaf_rows(forest) == [[0], [1], [2], [3]]
+    assert forest.quantile(x, 0.5).tolist() == y.tolist()

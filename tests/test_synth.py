@@ -6,16 +6,12 @@ from scipy import stats
 
 from graphcp.errors import DimensionMismatch, ExplosiveConfig
 from graphcp.model import ModelParams, ResponseWeights
-from graphcp.synth import (
-    GraphSpec,
+from graphcp.synth import GraphSpec, ScenarioConfig, StormPulse, WeatherSpec, simulate
+from tests.support import (
     NoiseSpec,
-    ScenarioConfig,
-    StormPulse,
-    WeatherSpec,
     branching_matrix,
     excitation_mass,
     iid_mean_function,
-    simulate,
     simulate_iid,
     spectral_radius,
 )
