@@ -32,7 +32,6 @@ from .model import (
     likelihood_gradient,
     load_params,
     log_likelihood,
-    predict,
     save_params,
     weather_response,
 )

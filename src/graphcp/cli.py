@@ -14,10 +14,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .conformal import read_interval_series, run_conformal
 from .errors import ConfigError, GraphCPError, ValidationError, coerce, take
 from .evaluate import coverage_metrics, violin_export, winner_table
-from .model import fit, init_params, load_params, predict, save_params
+from .model import fit, init_params, intensity, load_params, save_params
 from .panel import load_graph, load_panel, read_json, split
 from .pipeline import (
     conformal_settings,
@@ -104,7 +106,7 @@ def _cmd_predict(args, doc: dict) -> int:
             )
     else:
         lo, hi = split(panel, split_fractions(doc)).test
-    write_predictions(_out_dir(args) / "predictions.csv", predict(panel, graph, params), lo, hi)
+    write_predictions(_out_dir(args) / "predictions.csv", intensity(panel, graph, params), lo, hi)
     return 0
 
 
@@ -187,7 +189,9 @@ def cli_main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return _EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](args, read_json(args.config))
+        # every stage checks its own outputs, so an overflow surfaces as one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args, read_json(args.config))
     except ConfigError as exc:
         print(f"graphcp: config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -24,7 +24,7 @@ per (node, refit round) covering every step until the next refit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -67,13 +67,11 @@ _INTERVAL_ROW = np.dtype(
 _ROWS_PER_WRITE = 1 << 16
 
 
-def _check_window(capacity: int, window: int) -> None:
-    if capacity < 2:
-        raise InsufficientHistory(f"capacity must be >= 2, got {capacity}")
-    if not 1 <= window < capacity:
+def _check_window(calib_window: int, window: int) -> None:
+    if not 1 <= window < calib_window:
         raise InsufficientHistory(
-            f"window must satisfy 1 <= window < capacity, got "
-            f"window={window}, capacity={capacity}"
+            f"window must satisfy 1 <= window < calib_window, got "
+            f"window={window}, calib_window={calib_window}"
         )
 
 
@@ -150,8 +148,7 @@ def vanilla_cp(residuals, alpha: float, point):
     The half-width is the ceil((1 - alpha)(n + 1))-th smallest absolute
     residual, infinite when that rank exceeds n.  ``residuals`` may hold
     many windows of n residuals along its last axis, with ``point``
-    broadcasting against the others; one window and a scalar point give
-    floats.
+    broadcasting against the others.
     """
     residuals = np.abs(np.atleast_1d(np.asarray(residuals, dtype=np.float64)))
     n = residuals.shape[-1]
@@ -164,24 +161,14 @@ def vanilla_cp(residuals, alpha: float, point):
         half = np.full(residuals.shape[:-1], math.inf)
     else:
         half = np.partition(residuals, rank - 1, axis=-1)[..., rank - 1]
-    lower, upper = point - half, point + half
-    if residuals.ndim == 1 and np.ndim(point) == 0:
-        return float(lower), float(upper)
-    return lower, upper
+    return point - half, point + half
 
 
 def poisson_interval(rate, alpha: float):
-    """Equal-tail discrete quantiles of Poisson(rate), elementwise over rates.
-
-    A scalar rate gives floats.
-    """
+    """Equal-tail discrete quantiles of Poisson(rate), elementwise over rates."""
     if not 0.0 < alpha < 1.0:
         raise DimensionMismatch(f"alpha must lie in (0, 1), got {alpha}")
-    lower = stats.poisson.ppf(alpha / 2.0, rate)
-    upper = stats.poisson.ppf(1.0 - alpha / 2.0, rate)
-    if np.ndim(rate) == 0:
-        return float(lower), float(upper)
-    return lower, upper
+    return stats.poisson.ppf(alpha / 2.0, rate), stats.poisson.ppf(1.0 - alpha / 2.0, rate)
 
 
 def build_qrf_training_set(buffered, nodes, window: int):
@@ -212,16 +199,9 @@ def build_qrf_training_set(buffered, nodes, window: int):
 # --------------------------------------------------------------------------
 
 
-def _derived_forest_config(base: ForestConfig, seed: int, node: int, refit: int):
-    child = np.random.SeedSequence([seed, node, refit]).generate_state(1)[0]
-    return ForestConfig(
-        n_trees=base.n_trees,
-        max_depth=base.max_depth,
-        min_leaf=base.min_leaf,
-        mtry=base.mtry,
-        bootstrap=base.bootstrap,
-        seed=int(child),
-    )
+def _derived_forest_config(base: ForestConfig, node: int, refit: int) -> ForestConfig:
+    child = np.random.SeedSequence([base.seed, node, refit]).generate_state(1)[0]
+    return replace(base, seed=int(child))
 
 
 def run_conformal(
@@ -233,16 +213,16 @@ def run_conformal(
     alpha: float = 0.1,
     window: int = 20,
     calib_window: "int | None" = None,
-    retrain_stride: "int | float | None" = 1,
+    retrain_stride: "int | None" = 1,
     forest_config: "ForestConfig | None" = None,
-    seed: "int | None" = None,
 ) -> IntervalSeries:
     """Walk the test range emitting intervals for every node at every step.
 
     Residual buffers warm up on the last ``calib_window`` calibration steps
     (default: the whole calibration range) and ingest each test residual
     after the step's intervals are emitted.  Forest methods refit every
-    ``retrain_stride`` steps (None or inf: fit once).  A NaN or overflowed
+    ``retrain_stride`` steps (None: fit once), each node and round with a
+    seed derived from ``forest_config.seed``.  A NaN or overflowed
     bound raises ValidationError; only vanilla's infinite half-width may be
     infinite.
     """
@@ -251,7 +231,6 @@ def run_conformal(
     if not 0.0 < alpha < 1.0:
         raise DimensionMismatch(f"alpha must lie in (0, 1), got {alpha}")
     forest_config = forest_config or ForestConfig()
-    seed = forest_config.seed if seed is None else int(seed)
     cal_lo, cal_hi = data_split.calibration
     cal_len = cal_hi - cal_lo + 1
     calib_window = cal_len if calib_window is None else int(calib_window)
@@ -259,12 +238,9 @@ def run_conformal(
         raise InsufficientHistory(
             f"calibration range has {cal_len} steps, cannot warm up {calib_window}"
         )
-    if retrain_stride is None or retrain_stride == math.inf:
-        stride = None
-    else:
-        stride = int(retrain_stride)
-        if stride < 1:
-            raise DimensionMismatch(f"retrain_stride must be >= 1, got {retrain_stride}")
+    stride = None if retrain_stride is None else int(retrain_stride)
+    if stride is not None and stride < 1:
+        raise DimensionMismatch(f"retrain_stride must be >= 1, got {retrain_stride}")
 
     window = int(window)
     _check_window(calib_window, window)
@@ -291,7 +267,7 @@ def run_conformal(
     else:
         pools = [sorted(graph.neighborhood(j)) if method == "graph" else [j] for j in range(k)]
         lower, upper = _forest_intervals(
-            resid, points, pools, alpha, window, calib_window, stride, forest_config, seed
+            resid, points, pools, alpha, window, calib_window, stride, forest_config
         )
 
     series = IntervalSeries(
@@ -317,9 +293,7 @@ def run_conformal(
     return series
 
 
-def _forest_intervals(
-    resid, points, pools, alpha, window, calib_window, stride, forest_config, seed
-):
+def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride, forest_config):
     """(K, n_test) interval bounds of a forest method; node j pools ``pools[j]``.
 
     Each refit round fits one forest per node on the buffers at its first
@@ -337,7 +311,7 @@ def _forest_intervals(
         buffered = resid[:, lo : lo + calib_window]
         for j in range(k):
             features, targets = build_qrf_training_set(buffered, pools[j], window)
-            cfg = _derived_forest_config(forest_config, seed, j, refit)
+            cfg = _derived_forest_config(forest_config, j, refit)
             forest = fit_forest(features, targets, cfg)
             q = forest.quantile(lags[j, lo + offset : hi + offset], levels)
             lower[j, lo:hi] = points[j, lo:hi] + q[:, 0]

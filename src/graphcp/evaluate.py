@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, NoEligibleNodes, coerce, take
-from .conformal import IntervalSeries
+from .conformal import METHODS, IntervalSeries
 from .panel import write_csv
 
 __all__ = [
@@ -28,10 +28,6 @@ __all__ = [
     "winner_table",
     "violin_export",
 ]
-
-# fixed tie-break order; names outside this list rank after it, alphabetically
-_METHOD_ORDER = ("poisson", "vanilla", "temporal", "graph")
-
 
 @dataclass(frozen=True)
 class NodeMetrics:
@@ -94,8 +90,6 @@ class WinnerTable:
     win_fractions: dict  # method -> fraction over eligible nodes
     wins: dict  # method -> count
     n_eligible: int
-    outage_threshold: float
-    target_coverage: float
 
 
 def _mean_width(widths: np.ndarray) -> tuple:
@@ -154,10 +148,8 @@ def coverage_metrics(series: IntervalSeries, truths=None) -> MethodReport:
 
 
 def _method_rank(name: str):
-    try:
-        return (0, _METHOD_ORDER.index(name))
-    except ValueError:
-        return (1, name)
+    """Tie-break order: ``METHODS``, then any other name alphabetically."""
+    return (0, METHODS.index(name)) if name in METHODS else (1, name)
 
 
 def winner_table(
@@ -220,8 +212,6 @@ def winner_table(
         win_fractions={m: wins[m] / n_eligible for m in wins},
         wins=dict(wins),
         n_eligible=n_eligible,
-        outage_threshold=float(outage_threshold),
-        target_coverage=target,
     )
 
 

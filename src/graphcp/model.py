@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteLoss, coerce, take
-from .panel import PanelDataset, ServiceGraph, read_json, write_json
+from .panel import PanelDataset, ServiceGraph, _readonly, read_json, write_json
 
 __all__ = [
     "INTENSITY_FLOOR",
@@ -57,7 +57,6 @@ __all__ = [
     "log_likelihood",
     "likelihood_gradient",
     "fit",
-    "predict",
     "init_params",
     "save_params",
     "load_params",
@@ -89,12 +88,6 @@ def _edge_index(edges) -> tuple[np.ndarray, np.ndarray]:
     """Source and destination index arrays of an iterable of (src, dst) pairs."""
     pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1]
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -281,26 +274,17 @@ def load_params(path: "str | Path") -> ModelParams:
 
 
 def init_params(
-    graph: ServiceGraph,
-    n_vars: int,
-    hidden: int = 8,
-    window: int = 96,
-    seed: int = 0,
-    coupling_init: float = 0.2,
-    decay_init: float = 0.5,
-    scale_init: float = 0.5,
-    weather_decay_init: float = 0.2,
-    response_scale: float = 0.3,
+    graph: ServiceGraph, n_vars: int, hidden: int, window: int, seed: int
 ) -> ModelParams:
-    """Reasonable strictly-positive starting point for fitting."""
-    rng = np.random.default_rng(seed)
+    """Fixed strictly-positive start for fitting: coupling 0.2, decay and scale
+    0.5, weather decay 0.2, and N(0, 0.3) response weights drawn from ``seed``."""
     k = graph.n_nodes
     return ModelParams(
-        coupling={(src, dst): coupling_init for src, dst in graph.edge_pairs()},
-        decay=np.full(k, decay_init),
-        scale=np.full(k, scale_init),
-        weather_decay=np.full(n_vars, weather_decay_init),
-        response=ResponseWeights.random(hidden, n_vars, rng, scale=response_scale),
+        coupling={edge: 0.2 for edge in graph.edge_pairs()},
+        decay=np.full(k, 0.5),
+        scale=np.full(k, 0.5),
+        weather_decay=np.full(n_vars, 0.2),
+        response=ResponseWeights.random(hidden, n_vars, np.random.default_rng(seed)),
         window=window,
         seed=seed,
     )
@@ -488,26 +472,13 @@ def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _
     )
 
 
-def intensity(
-    panel: PanelDataset,
-    graph: ServiceGraph,
-    params: ModelParams,
-    time: "int | None" = None,
-):
-    """Floored Poisson rates; full (K, T) matrix, or one column for 1-based time."""
-    rates = _forward(panel, graph, params).rates
-    if time is None:
-        return rates
-    return rates[:, time - 1]
-
-
-def predict(panel, graph, params, time: "int | None" = None):
-    """One-step-ahead point forecast: the Poisson mean given observed history.
+def intensity(panel: PanelDataset, graph: ServiceGraph, params: ModelParams) -> np.ndarray:
+    """(K, T) one-step-ahead forecasts: floored Poisson rates given observed history.
 
     Counts strictly before each time step enter through the excitation
     recursion, so the forecast for time t never touches counts at t.
     """
-    return intensity(panel, graph, params, time)
+    return _forward(panel, graph, params).rates
 
 
 def _range_slice(panel: PanelDataset, time_range) -> slice:
@@ -606,8 +577,7 @@ class ParamPacker:
             nat = softplus(raw[self.slices[key]])
             return np.where(moved[self.slices[key]], nat, init_vals)
 
-        coupling_init = np.array([init.coupling[e] for e in self.edge_order])
-        coupling_vals = rate_block("coupling", coupling_init)
+        coupling_vals = rate_block("coupling", [init.coupling[e] for e in self.edge_order])
         return ModelParams(
             coupling={
                 edge: float(val) for edge, val in zip(self.edge_order, coupling_vals)
@@ -694,15 +664,20 @@ def likelihood_gradient(
 # --------------------------------------------------------------------------
 
 
+_CHECKPOINT_TOL = 1e-8
+_MAX_RETREATS = 60
+
+
 @dataclass
 class FitConfig:
     """Mini-batch gradient-ascent settings.
 
     Batches are contiguous time blocks (the excitation recursion is
     sequential, so cells cannot be shuffled individually).  If an epoch
-    lowers the checkpoint likelihood by more than ``checkpoint_tol``, the
+    lowers the checkpoint likelihood by more than ``_CHECKPOINT_TOL``, the
     step is rolled back and the learning rate halves; this keeps the
-    recorded checkpoint sequence nondecreasing.
+    recorded checkpoint sequence nondecreasing.  More than
+    ``_MAX_RETREATS`` rollbacks raise NonFiniteLoss.
     """
 
     learning_rate: float = 1e-2
@@ -710,8 +685,6 @@ class FitConfig:
     batch_len: int = 64
     momentum: float = 0.0
     seed: int = 0
-    checkpoint_tol: float = 1e-8
-    max_retreats: int = 60
 
     def __post_init__(self):
         # a zero learning rate is allowed: the fit then returns its start
@@ -723,8 +696,6 @@ class FitConfig:
             raise ConfigError(f"batch_len must be >= 1, got {self.batch_len}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.max_retreats < 0:
-            raise ConfigError(f"max_retreats must be >= 0, got {self.max_retreats}")
 
 
 @dataclass
@@ -798,13 +769,13 @@ def fit(
                 healthy = False
                 break
         ll_now = checkpoint_ll(raw) if healthy else -np.inf
-        if ll_now < ll_best - config.checkpoint_tol:
+        if ll_now < ll_best - _CHECKPOINT_TOL:
             raw = best_raw.copy()
             velocity[:] = 0.0
             lr *= 0.5
             retreats += 1
             checkpoints.append(ll_best)
-            if retreats > config.max_retreats:
+            if retreats > _MAX_RETREATS:
                 raise NonFiniteLoss(
                     "step size diverged: likelihood kept degrading after "
                     f"{retreats} rollbacks"
@@ -815,11 +786,8 @@ def fit(
                 ll_best = ll_now
                 best_raw = raw.copy()
 
-    params_out = packer.unpack_preserving(best_raw, raw_init, init)
-    if config.seed is not None:
-        params_out = replace(params_out, seed=config.seed)
     return FitResult(
-        params=params_out,
+        params=replace(packer.unpack_preserving(best_raw, raw_init, init), seed=config.seed),
         checkpoints=np.array(checkpoints),
         learning_rate_final=lr,
         n_retreats=retreats,

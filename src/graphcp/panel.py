@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _readonly(arr, dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -175,7 +176,7 @@ class PanelDataset:
             raise NegativeCount("counts contain negative values")
         return cls(
             weather=_readonly(weather.copy()),
-            counts=_readonly(counts_arr.copy()),
+            counts=_readonly(counts_arr.copy(), np.int64),
         )
 
     @property

@@ -42,6 +42,8 @@ __all__ = ["ForestConfig", "FittedForest", "fit_forest"]
 _LEVEL_SLACK = 1e-9
 # float64 cells in one dense (queries x training rows) weight block: 1 MiB
 _WEIGHT_BLOCK = 1 << 17
+# split scores square sums of up to n targets, which must stay finite
+_SUM_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -300,6 +302,9 @@ def fit_forest(features, targets, config: "ForestConfig | None" = None) -> Fitte
         raise DegenerateData("empty training set")
     if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
         raise DegenerateData("features/targets contain NaN or Inf")
+    largest = np.max(np.abs(y))
+    if largest > _SUM_LIMIT / n:
+        raise DegenerateData(f"targets up to {largest!r} are too large to score splits")
     mtry = config.mtry if config.mtry is not None else int(np.ceil(p / 3))
     if mtry > p:
         raise DegenerateData(f"mtry={mtry} exceeds {p} features")

@@ -12,6 +12,7 @@ inputs; pulse timing and amplitude are configuration, not physics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,13 @@ class GraphSpec:
     edges: tuple = ()
     grid_rows: "int | None" = None
 
+    def __post_init__(self):
+        # JSON integers only: "2", 2.5 or null raise TypeError, a ragged edge ValueError
+        edges = tuple((operator.index(src), operator.index(dst)) for src, dst in self.edges)
+        object.__setattr__(self, "edges", edges)
+        if self.grid_rows is not None:
+            object.__setattr__(self, "grid_rows", operator.index(self.grid_rows))
+
     def build(self) -> ServiceGraph:
         k = self.n_nodes
         if self.kind == "edges":
@@ -164,7 +172,7 @@ class GraphSpec:
         return cls(
             kind=doc["kind"],
             n_nodes=int(doc["n_nodes"]),
-            edges=tuple(tuple(e) for e in doc.get("edges", [])),
+            edges=doc.get("edges", ()),
             grid_rows=doc.get("grid_rows"),
         )
 

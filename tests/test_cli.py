@@ -247,21 +247,26 @@ def edited_run(tmp_path, capsys, command, key, value, method=None):
     return code, capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_predict_nonfinite_rate_exits_4(tmp_path, capsys):
-    # decay 1e308 overflows the excitation recursion: inf * exp(-1e308) = nan
+    # decay 1e308 overflows the excitation recursion: inf * exp(-1e308) = nan;
+    # numpy's overflow warnings used to print before the one error line
     code, err = edited_run(tmp_path, capsys, "predict", "decay", 1e308)
     assert code == 4
-    assert "ValidationError" in err and "Traceback" not in err
+    assert "ValidationError" in err and len(err.splitlines()) == 1, err
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
-@pytest.mark.parametrize("method", ["poisson", "vanilla"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["poisson", "vanilla", "temporal", "graph"])
 def test_conformal_nonfinite_bounds_exit_4(tmp_path, capsys, method):
     # scale 1e308 keeps the rates finite, but Poisson quantiles of such a
-    # rate are nan and vanilla's point + half-width overflows to inf
+    # rate are nan, vanilla's point + half-width overflows to inf, and the
+    # forests' residual targets are too large to score splits on
     code, err = edited_run(tmp_path, capsys, "conformal", "scale", 1e308, method)
     assert code == 4
-    assert "ValidationError" in err and "Traceback" not in err
+    error = "DegenerateData" if method in ("temporal", "graph") else "ValidationError"
+    assert error in err and len(err.splitlines()) == 1, err
     assert not (tmp_path / "out" / f"intervals_{method}.csv").exists()
 
 
@@ -348,6 +353,21 @@ def scenario_without(key):
     return doc
 
 
+def scenario_with_graph(**graph):
+    """A four-node scenario without coupling on the graph ``graph``."""
+    doc = demo_scenario_doc(k=4)
+    doc["graph"] = dict(doc["graph"], **graph)
+    doc["params"]["coupling"] = []
+    return {"scenario": doc}
+
+
+BAD_GRAPHS = [
+    scenario_with_graph(kind="grid", grid_rows="2"),
+    scenario_with_graph(kind="edges", edges=[[0, "x"]]),
+    scenario_with_graph(kind="edges", edges=[[0, None]]),
+]
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [
@@ -368,13 +388,14 @@ def scenario_without(key):
         ("predict", edited_params(lambda p: p["response"].pop("w_out"))),
         ("report", metrics_file(lambda m: m.pop("methods"))),
         ("report", metrics_file(lambda m: m["methods"]["poisson"].pop("per_node"))),
-    ],
+    ]
+    + [(command, bad) for command in ("simulate", "pipeline") for bad in BAD_GRAPHS],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     # a section that is not a JSON object, a scenario, params or metrics
-    # document without a required key, or an unknown key in a stage section
-    # used to escape cli_main as AttributeError, TypeError or KeyError, or to
-    # be ignored
+    # document without a required key, an unknown key in a stage section, or
+    # a graph value that is not an integer used to escape cli_main as
+    # AttributeError, TypeError, ValueError or KeyError, or to be ignored
     config = bad_config(tmp_path, command, bad)
     capsys.readouterr()
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2

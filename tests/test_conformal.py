@@ -156,7 +156,7 @@ def test_graph_cp_step_matches_manual_quantiles():
     buffered = (panel.counts - rates)[:, cal_lo - 1 : cal_hi]
     first = series.time == test_lo
     for j in range(graph.n_nodes):
-        derived = _derived_forest_config(config, 7, j, 0)
+        derived = _derived_forest_config(config, j, 0)
         lower, upper = forest_interval(
             buffered, j, sorted(graph.neighborhood(j)), 3, derived, 0.2, rates[j, test_lo - 1]
         )

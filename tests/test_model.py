@@ -18,7 +18,6 @@ from graphcp.model import (
     likelihood_gradient,
     load_params,
     log_likelihood,
-    predict,
     save_params,
     softplus,
     softplus_inv,
@@ -331,7 +330,6 @@ def small_fit_instance(seed=0):
         {"learning_rate": float("nan")},
         {"momentum": 1.0},
         {"momentum": -0.1},
-        {"max_retreats": -1},
     ],
 )
 def test_fit_config_rejects_out_of_range_values(bad):
@@ -391,20 +389,20 @@ def test_fit_raises_on_nonfinite_start():
         fit(panel, graph, bad, FitConfig(epochs=1))
 
 
-# ------------------------------------------------------- predict and io
+# ------------------------------------------------------- forecast and io
 
 
-def test_predict_equals_intensity_and_ignores_current_counts():
+def test_intensity_ignores_current_counts():
     graph, panel, params = rand_instance(11)
-    np.testing.assert_array_equal(predict(panel, graph, params), intensity(panel, graph, params))
     t_query = 10
     tampered = np.array(panel.counts)
     tampered[:, t_query - 1] += 50
     panel2 = PanelDataset.build(panel.weather, tampered)
     np.testing.assert_array_equal(
-        predict(panel, graph, params, t_query), predict(panel2, graph, params, t_query)
+        intensity(panel, graph, params)[:, t_query - 1],
+        intensity(panel2, graph, params)[:, t_query - 1],
     )
-    assert np.all(predict(panel, graph, params) >= 0.0)
+    assert np.all(intensity(panel, graph, params) >= 0.0)
 
 
 def test_params_json_round_trip_is_bit_exact(tmp_path):

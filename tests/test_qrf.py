@@ -228,3 +228,56 @@ def test_split_near_float_max_terminates():
         forest = fit_forest(x, y, config)
     assert leaf_rows(forest) == [[0], [1], [2], [3]]
     assert forest.quantile(x, 0.5).tolist() == y.tolist()
+
+
+# a few neighbouring doubles near 1, whose midpoints round to either end, and
+# values near the float range's ends, whose sums overflow
+_ONE = [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
+_EDGE = [-1.7e308, np.nextafter(-1.7e308, 0.0), -1.6e308]
+_EDGE += [-v for v in _EDGE]
+
+
+def assert_partitions(tree, x, min_leaf):
+    """Each split sends exactly the rows with x <= threshold left, both sides
+    non-empty, and each leaf below the root holds at least min_leaf rows."""
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        f = tree.feature[node]
+        if f < 0:
+            assert tree.leaf_members(node).tolist() == rows.tolist()
+            assert node == 0 or rows.shape[0] >= min_leaf
+            continue
+        left = x[rows, f] <= tree.threshold[node]
+        assert 0 < np.count_nonzero(left) < rows.shape[0]
+        stack += [(tree.left[node], rows[left]), (tree.right[node], rows[~left])]
+
+
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 3),
+    min_leaf=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_splits_match_scored_partitions(n, p, min_leaf, data):
+    values = data.draw(st.sampled_from([_ONE, _EDGE, _ONE + _EDGE]))
+    x = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * p, max_size=n * p)))
+    x = x.reshape(n, p)
+    y = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    config = ForestConfig(n_trees=3, min_leaf=min_leaf, mtry=p, bootstrap=False, seed=n)
+    with time_limit(5):
+        forest = fit_forest(x, y, config)
+    for tree in forest.trees:
+        assert_partitions(tree, x, min_leaf)
+
+
+@pytest.mark.filterwarnings("error")
+def test_targets_too_large_to_score_raise():
+    # squaring their sums overflowed, and splits were chosen from inf or nan scores
+    x = np.arange(4.0)[:, None]
+    config = ForestConfig(n_trees=1, min_leaf=1, bootstrap=False)
+    for y in ([0.0, 1e308, -1e308, 1.0], [1e154] * 4):
+        with pytest.raises(DegenerateData, match="too large"):
+            fit_forest(x, np.array(y), config)
+    fit_forest(x, np.full(4, 3e153), config)
