@@ -18,12 +18,15 @@ interval and then ingests the step's residuals into per-node ring buffers.
 Every residual it would ingest is known before the walk starts, so each
 method is computed from arrays instead: one Poisson call over all cells,
 one vanilla call per node over its sliding windows, and one forest query
-per (node, refit round) covering every step until the next refit.
+per (node, refit round) covering every step until the next refit.  Those
+forests are grown in a fork pool, one worker per usable CPU or
+``GRAPH_CP_WORKERS``, with the same results for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +34,7 @@ from scipy import stats
 
 from .errors import (
     AlignmentError,
+    ConfigError,
     DimensionMismatch,
     InsufficientHistory,
     UnknownMethod,
@@ -298,6 +302,8 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
 
     Each refit round fits one forest per node on the buffers at its first
     step, then answers every step up to the next round in one query block.
+    The (round, node) forests have their own seeds, so they are grown in a
+    fork pool (``_in_order``) with the same results as one at a time.
     """
     k, n_test = points.shape
     # row s + calib_window - window of a node's lags is the query at step s:
@@ -306,14 +312,86 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
     offset = calib_window - window
     levels = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
     starts = [0] if stride is None else list(range(0, n_test, stride))
+    rounds = list(zip(starts, starts[1:] + [n_test]))
+    tasks = [(refit, j) for refit in range(len(rounds)) for j in range(k)]
+
+    def quantiles(task):
+        refit, j = task
+        lo, hi = rounds[refit]
+        features, targets = build_qrf_training_set(
+            resid[:, lo : lo + calib_window], pools[j], window
+        )
+        forest = fit_forest(features, targets, _derived_forest_config(forest_config, j, refit))
+        return forest.quantile(lags[j, lo + offset : hi + offset], levels)
+
     lower, upper = np.empty((k, n_test)), np.empty((k, n_test))
-    for refit, (lo, hi) in enumerate(zip(starts, starts[1:] + [n_test])):
-        buffered = resid[:, lo : lo + calib_window]
-        for j in range(k):
-            features, targets = build_qrf_training_set(buffered, pools[j], window)
-            cfg = _derived_forest_config(forest_config, j, refit)
-            forest = fit_forest(features, targets, cfg)
-            q = forest.quantile(lags[j, lo + offset : hi + offset], levels)
-            lower[j, lo:hi] = points[j, lo:hi] + q[:, 0]
-            upper[j, lo:hi] = points[j, lo:hi] + q[:, 1]
+    for (refit, j), q in zip(tasks, _in_order(quantiles, tasks)):
+        lo, hi = rounds[refit]
+        lower[j, lo:hi] = points[j, lo:hi] + q[:, 0]
+        upper[j, lo:hi] = points[j, lo:hi] + q[:, 1]
     return lower, upper
+
+
+# --------------------------------------------------------------------------
+# Fork pool
+# --------------------------------------------------------------------------
+
+_task = None  # the pool's task function: set in each worker, never in the caller
+
+
+def _install_task(task) -> None:
+    global _task
+    _task = task
+
+
+def _run_task(item):
+    return _task(item)
+
+
+def _worker_count(n_tasks: int) -> int:
+    """``GRAPH_CP_WORKERS`` if set, else the CPUs this process may use; at most ``n_tasks``."""
+    value = os.environ.get("GRAPH_CP_WORKERS")
+    if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+    else:
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"GRAPH_CP_WORKERS must be an integer >= 1, got {value!r}")
+    return min(workers, n_tasks)
+
+
+def _in_order(task, items) -> list:
+    """``[task(item) for item in items]``, spread over a fork pool.
+
+    Results come back in item order, and the first item whose task raises
+    raises its error here, as the plain loop would; the pool then stops.
+    The plain loop runs for one worker, where ``fork`` is missing, and in a
+    daemon process, which may not have children.
+    """
+    import multiprocessing
+
+    workers = _worker_count(len(items))
+    if (
+        workers <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return [task(item) for item in items]
+    # forked workers inherit ``task``; only items and results are pickled
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_install_task, initargs=(task,)
+    )
+    try:
+        return list(pool.imap(_run_task, items, chunksize=1))
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()

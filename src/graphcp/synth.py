@@ -35,6 +35,23 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer: ``"4"``, ``2.5``, ``true`` and null raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what}: expected an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what}: expected an integer, got {value!r}") from None
+
+
+def _real(value, what: str) -> float:
+    """A JSON number: ``"1e3"`` and ``true`` raise TypeError."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"{what}: expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StormPulse:
     """Additive weather excursion: amplitude on [start, start + duration) steps.
@@ -68,12 +85,13 @@ class StormPulse:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StormPulse":
+        variable, nodes = doc.get("variable"), doc.get("nodes")
         return cls(
-            start=int(doc["start"]),
-            duration=int(doc["duration"]),
-            amplitude=float(doc["amplitude"]),
-            variable=None if doc.get("variable") is None else int(doc["variable"]),
-            nodes=None if doc.get("nodes") is None else tuple(doc["nodes"]),
+            start=_integer(doc["start"], "pulse start"),
+            duration=_integer(doc["duration"], "pulse duration"),
+            amplitude=_real(doc["amplitude"], "pulse amplitude"),
+            variable=None if variable is None else _integer(variable, "pulse variable"),
+            nodes=None if nodes is None else tuple(_integer(n, "pulse nodes") for n in nodes),
         )
 
 
@@ -112,8 +130,8 @@ class WeatherSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "WeatherSpec":
         return cls(
-            ar_coefs=doc["ar_coefs"],
-            noise_scales=doc["noise_scales"],
+            ar_coefs=tuple(_real(a, "ar_coefs") for a in doc["ar_coefs"]),
+            noise_scales=tuple(_real(s, "noise_scales") for s in doc["noise_scales"]),
             pulses=tuple(StormPulse.from_dict(p) for p in doc.get("pulses", [])),
         )
 
@@ -128,11 +146,11 @@ class GraphSpec:
     grid_rows: "int | None" = None
 
     def __post_init__(self):
-        # JSON integers only: "2", 2.5 or null raise TypeError, a ragged edge ValueError
-        edges = tuple((operator.index(src), operator.index(dst)) for src, dst in self.edges)
+        # JSON integers only: "2", 2.5, true or null raise TypeError, a ragged edge ValueError
+        edges = tuple((_integer(src, "edge"), _integer(dst, "edge")) for src, dst in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.grid_rows is not None:
-            object.__setattr__(self, "grid_rows", operator.index(self.grid_rows))
+            object.__setattr__(self, "grid_rows", _integer(self.grid_rows, "grid_rows"))
 
     def build(self) -> ServiceGraph:
         k = self.n_nodes
@@ -171,7 +189,7 @@ class GraphSpec:
     def from_dict(cls, doc: dict) -> "GraphSpec":
         return cls(
             kind=doc["kind"],
-            n_nodes=int(doc["n_nodes"]),
+            n_nodes=_integer(doc["n_nodes"], "graph.n_nodes"),
             edges=doc.get("edges", ()),
             grid_rows=doc.get("grid_rows"),
         )
@@ -228,15 +246,15 @@ class ScenarioConfig:
         try:
             return cls(
                 graph=GraphSpec.from_dict(doc["graph"]),
-                n_steps=int(doc["n_steps"]),
+                n_steps=_integer(doc["n_steps"], "n_steps"),
                 params=ModelParams.from_dict(doc["params"]),
                 weather=WeatherSpec.from_dict(doc["weather"]),
-                seed=int(doc.get("seed", 0)),
-                explosion_cap=float(doc.get("explosion_cap", 1e4)),
+                seed=_integer(doc.get("seed", 0), "seed"),
+                explosion_cap=_real(doc.get("explosion_cap", 1e4), "explosion_cap"),
             )
         except KeyError as exc:
             raise ConfigError(f"scenario is missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"scenario: {exc}") from exc
 
 

@@ -368,6 +368,37 @@ BAD_GRAPHS = [
 ]
 
 
+def scenario_edited(edit):
+    """The demo scenario with one storm pulse, after ``edit`` has changed one value."""
+    doc = demo_scenario_doc()
+    doc["weather"]["pulses"] = [
+        {"start": 3, "duration": 2, "amplitude": 1000.0, "variable": 0, "nodes": [1]}
+    ]
+    edit(doc)
+    return {"scenario": doc}
+
+
+def pulse(**values):
+    return lambda doc: doc["weather"]["pulses"][0].update(values)
+
+
+# scenario numbers that int() and float() accept but that are not JSON
+# integers or numbers; a scenario seed of "4" is a simulate case only,
+# since the pipeline's top-level seed replaces the scenario's
+BAD_NUMBERS = [
+    lambda doc: doc.update(n_steps="180"),
+    lambda doc: doc["graph"].update(n_nodes=5.9),
+    lambda doc: doc.update(explosion_cap="1e4"),
+    lambda doc: doc["weather"].update(ar_coefs=["0.5"]),
+    lambda doc: doc["weather"].update(noise_scales=[True]),
+    pulse(start="3"),
+    pulse(duration=2.5),
+    pulse(amplitude="1e3"),
+    pulse(variable=False),
+    pulse(nodes=["1"]),
+]
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [
@@ -389,18 +420,36 @@ BAD_GRAPHS = [
         ("report", metrics_file(lambda m: m.pop("methods"))),
         ("report", metrics_file(lambda m: m["methods"]["poisson"].pop("per_node"))),
     ]
-    + [(command, bad) for command in ("simulate", "pipeline") for bad in BAD_GRAPHS],
+    + [(command, bad) for command in ("simulate", "pipeline") for bad in BAD_GRAPHS]
+    + [("simulate", scenario_edited(lambda doc: doc.update(seed="4")))]
+    + [
+        (command, scenario_edited(edit))
+        for command in ("simulate", "pipeline")
+        for edit in BAD_NUMBERS
+    ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     # a section that is not a JSON object, a scenario, params or metrics
     # document without a required key, an unknown key in a stage section, or
     # a graph value that is not an integer used to escape cli_main as
-    # AttributeError, TypeError, ValueError or KeyError, or to be ignored
+    # AttributeError, TypeError, ValueError or KeyError, or to be ignored;
+    # a scenario number given as a string, a bool or a fraction was converted
     config = bad_config(tmp_path, command, bad)
     capsys.readouterr()
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "x", "2.5"])
+@pytest.mark.parametrize("command", ["conformal", "pipeline"])
+def test_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, command, workers):
+    config = bad_config(tmp_path, command, {"method": "temporal"} if command == "conformal" else {})
+    monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
+    capsys.readouterr()
+    assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "GRAPH_CP_WORKERS" in err and len(err.splitlines()) == 1, err
 
 
 # -------------------------------------------------------------- pipeline

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +11,20 @@ from graphcp.conformal import (
     IntervalSeries,
     _check_window,
     _derived_forest_config,
+    _forest_intervals,
+    _in_order,
     build_qrf_training_set,
     poisson_interval,
     read_interval_series,
     run_conformal,
     vanilla_cp,
 )
-from graphcp.errors import InsufficientHistory, UnknownMethod
+from graphcp.errors import DegenerateData, InsufficientHistory, UnknownMethod
 from graphcp.model import ModelParams, ResponseWeights, intensity
 from graphcp.panel import ServiceGraph, split
 from graphcp.qrf import ForestConfig, fit_forest
 from graphcp.synth import GraphSpec, ScenarioConfig, WeatherSpec, simulate
+from tests.test_qrf import time_limit
 
 
 def oracle_poisson_quantile(rate, level):
@@ -286,3 +292,112 @@ def test_interval_series_rejects_crossed_bounds():
             upper=np.array([1.0]),
             y_true=np.array([0.0]),
         )
+
+
+# ---------------------------------------------------------------- fork pool
+
+
+POOL_CASES = {
+    # 80 test steps: rounds start at steps 0, 30 and 60, the last is 20 long
+    "partial_last_round": (dict(seed=7), dict(retrain_stride=30), ("1", "2")),
+    "one_node": (dict(seed=8, k=1, edges=()), dict(retrain_stride=20), ("1", "2")),
+    "edgeless": (dict(seed=9, k=3, edges=()), dict(retrain_stride=25), ("1", "2")),
+    # two tasks, five workers asked for
+    "more_workers_than_tasks": (
+        dict(seed=10, k=2, edges=((0, 1),)),
+        dict(retrain_stride=None),
+        ("1", "5"),
+    ),
+}
+
+
+def forest_run(panel, graph, params, data_split, method, **kwargs):
+    return run_conformal(
+        panel, graph, params, data_split, method, alpha=0.1, window=4,
+        forest_config=ForestConfig(n_trees=5, min_leaf=5, seed=2), **kwargs,
+    )
+
+
+def bound_bytes(series):
+    return series.lower.tobytes() + series.upper.tobytes()
+
+
+@pytest.mark.parametrize("method", ["temporal", "graph"])
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_intervals_do_not_depend_on_the_worker_count(monkeypatch, case, method):
+    setup, run_kwargs, worker_counts = POOL_CASES[case]
+    panel, graph, params, data_split = small_setup(**setup)
+    bounds = []
+    for workers in worker_counts:
+        monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
+        bounds.append(bound_bytes(forest_run(panel, graph, params, data_split, method, **run_kwargs)))
+        assert multiprocessing.active_children() == []
+    assert bounds[0] == bounds[1]
+
+
+def test_pooled_tasks_run_in_forked_workers_in_order(monkeypatch):
+    def task(item):
+        return item, os.getpid()
+
+    monkeypatch.setenv("GRAPH_CP_WORKERS", "2")
+    pooled = _in_order(task, list(range(6)))
+    assert [item for item, _ in pooled] == list(range(6))
+    assert os.getpid() not in {pid for _, pid in pooled}
+    monkeypatch.setenv("GRAPH_CP_WORKERS", "1")
+    assert _in_order(task, list(range(6))) == [(item, os.getpid()) for item in range(6)]
+    assert multiprocessing.active_children() == []
+
+
+def test_back_to_back_pools_warn_nothing(monkeypatch):
+    # Python 3.12 warns (DeprecationWarning) when a process forks while it
+    # runs other threads, such as the handler threads of an unjoined pool
+    monkeypatch.setenv("GRAPH_CP_WORKERS", "2")
+    panel, graph, params, data_split = small_setup(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = forest_run(panel, graph, params, data_split, "graph", retrain_stride=40)
+        b = forest_run(panel, graph, params, data_split, "graph", retrain_stride=40)
+    assert bound_bytes(a) == bound_bytes(b)
+    assert multiprocessing.active_children() == []
+
+
+def residual_panel(k, n_test, calib_window):
+    """Standard normal residuals of ``k`` nodes for ``n_test`` test steps, zero points."""
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(k, calib_window + n_test - 1)), np.zeros((k, n_test))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_first_failing_forest_stops_the_pool(monkeypatch, workers):
+    # node 0's residuals are too large to score splits on, so its round-0
+    # forest, the first task, raises; the other 39 forests take several
+    # seconds to grow and must not be waited for
+    k, n_test, calib_window = 4, 100, 1000
+    resid, points = residual_panel(k, n_test, calib_window)
+    resid[0] *= 1e200
+    monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
+    with time_limit(2), pytest.raises(DegenerateData, match="too large to score"):
+        _forest_intervals(
+            resid, points, [[j] for j in range(k)], 0.1, 4, calib_window, 10,
+            ForestConfig(n_trees=50, seed=0),
+        )
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_raises_the_first_failing_tasks_error(monkeypatch):
+    # nodes 0 and 1 both fail, with different messages: node 0's comes first
+    k, n_test, calib_window = 3, 40, 60
+    resid, points = residual_panel(k, n_test, calib_window)
+    resid[0, 5] = np.nan
+    resid[1] *= 1e200
+    errors = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
+        with pytest.raises(DegenerateData) as info:
+            _forest_intervals(
+                resid, points, [[j] for j in range(k)], 0.1, 4, calib_window, 20,
+                ForestConfig(n_trees=5, seed=0),
+            )
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and "NaN" in errors[0]
+    assert multiprocessing.active_children() == []
