@@ -19,14 +19,15 @@ Every residual it would ingest is known before the walk starts, so each
 method is computed from arrays instead: one Poisson call over all cells,
 one vanilla call per node over its sliding windows, and one forest query
 per (node, refit round) covering every step until the next refit.  Those
-forests are grown in a fork pool, one worker per usable CPU or
-``GRAPH_CP_WORKERS``, with the same results for any worker count.
+forests are grown in a fork pool, one worker per usable CPU, with the same
+results for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +35,6 @@ from scipy import stats
 
 from .errors import (
     AlignmentError,
-    ConfigError,
     DimensionMismatch,
     InsufficientHistory,
     UnknownMethod,
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .model import ModelParams, intensity
 from .panel import DataSplit, PanelDataset, ServiceGraph, read_table, write_csv
-from .qrf import ForestConfig, fit_forest
+from .qrf import FittedForest, ForestConfig, fit_forest
 
 __all__ = [
     "METHODS",
@@ -303,7 +303,8 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
     Each refit round fits one forest per node on the buffers at its first
     step, then answers every step up to the next round in one query block.
     The (round, node) forests have their own seeds, so they are grown in a
-    fork pool (``_in_order``) with the same results as one at a time.
+    fork pool (``_in_order``) with the same results as one at a time; in
+    this process if a forest step has been rebound (``_rebound``).
     """
     k, n_test = points.shape
     # row s + calib_window - window of a node's lags is the query at step s:
@@ -325,7 +326,8 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
         return forest.quantile(lags[j, lo + offset : hi + offset], levels)
 
     lower, upper = np.empty((k, n_test)), np.empty((k, n_test))
-    for (refit, j), q in zip(tasks, _in_order(quantiles, tasks)):
+    workers = 1 if _rebound() else _worker_count(len(tasks))
+    for (refit, j), q in zip(tasks, _in_order(quantiles, tasks, workers)):
         lo, hi = rounds[refit]
         lower[j, lo:hi] = points[j, lo:hi] + q[:, 0]
         upper[j, lo:hi] = points[j, lo:hi] + q[:, 1]
@@ -336,62 +338,115 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
 # Fork pool
 # --------------------------------------------------------------------------
 
-_task = None  # the pool's task function: set in each worker, never in the caller
-
-
-def _install_task(task) -> None:
-    global _task
-    _task = task
-
-
-def _run_task(item):
-    return _task(item)
-
 
 def _worker_count(n_tasks: int) -> int:
-    """``GRAPH_CP_WORKERS`` if set, else the CPUs this process may use; at most ``n_tasks``."""
-    value = os.environ.get("GRAPH_CP_WORKERS")
-    if value is None:
-        if hasattr(os, "sched_getaffinity"):
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = os.cpu_count() or 1
-    else:
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"GRAPH_CP_WORKERS must be an integer >= 1, got {value!r}")
-    return min(workers, n_tasks)
+    """One worker per CPU this process may use, at most ``n_tasks``."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), n_tasks)
+    return min(os.cpu_count() or 1, n_tasks)
 
 
-def _in_order(task, items) -> list:
-    """``[task(item) for item in items]``, spread over a fork pool.
+def _rebound() -> bool:
+    """Whether a forest step is bound to another object than at import.
 
-    Results come back in item order, and the first item whose task raises
-    raises its error here, as the plain loop would; the pool then stops.
-    The plain loop runs for one worker, where ``fork`` is missing, and in a
-    daemon process, which may not have children.
+    A profiler or a test spy does that, and its wrapper's records would stay
+    in a forked worker, so such a run grows its forests in this process.
+    """
+    steps = (build_qrf_training_set, fit_forest, FittedForest.quantile)
+    return any(now is not then for now, then in zip(steps, _FOREST_STEPS))
+
+
+def _in_order(task, items, workers: int) -> list:
+    """``[task(item) for item in items]``, spread over ``workers`` forked processes.
+
+    Workers inherit ``task`` and ``items``; only indices and results cross
+    the pipes.  Each idle worker gets the next index, and results are used
+    in item order, so the first item whose task raises raises its error
+    here, as the plain loop would; no new index is handed out after an
+    error.  A worker that dies raises ChildProcessError.  On every exit the
+    workers are stopped and joined.  The plain loop runs for one worker,
+    where ``fork`` is missing, and in a daemon process, which may not have
+    children.
     """
     import multiprocessing
+    from multiprocessing.connection import wait
 
-    workers = _worker_count(len(items))
     if (
         workers <= 1
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
         return [task(item) for item in items]
-    # forked workers inherit ``task``; only items and results are pickled
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_install_task, initargs=(task,)
-    )
+    context = multiprocessing.get_context("fork")
+    ends, processes, busy = [], {}, set()
     try:
-        return list(pool.imap(_run_task, items, chunksize=1))
-    except BaseException:
-        pool.terminate()
-        raise
+        for _ in range(workers):
+            ours, theirs = context.Pipe()
+            ends.append(ours)
+            process = context.Process(
+                target=_serve, args=(task, items, theirs, list(ends)), daemon=True
+            )
+            process.start()
+            theirs.close()  # so that the worker's death reads as EOF here
+            processes[ours] = process
+        todo, done, failed = iter(range(len(items))), {}, False
+
+        def hand_out(end):
+            index = next(todo, None)
+            if index is not None and not failed:
+                end.send(index)
+                busy.add(end)
+
+        for end in ends:
+            hand_out(end)
+        results = []
+        for index in range(len(items)):
+            while index not in done:
+                for end in wait(busy):
+                    try:
+                        finished, result, error = end.recv()
+                    except EOFError:
+                        process = processes[end]
+                        process.join()
+                        raise ChildProcessError(
+                            f"pool worker {process.pid} exited with code {process.exitcode}"
+                        ) from None
+                    busy.remove(end)
+                    done[finished] = result, error
+                    failed = failed or error is not None
+                    hand_out(end)
+            result, error = done.pop(index)
+            if error is not None:
+                raise error
+            results.append(result)
+        return results
     finally:
-        pool.close()
-        pool.join()
+        for end in busy:
+            processes[end].terminate()
+        for end in ends:
+            end.close()  # an idle worker reads EOF and returns
+        for process in processes.values():
+            process.join()
+
+
+def _serve(task, items, pipe, caller_ends) -> None:
+    """A pool worker: answer each index sent down ``pipe`` until it closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the pool
+    for end in caller_ends:  # so that the caller's death reads as EOF here
+        end.close()
+    while True:
+        try:
+            index = pipe.recv()
+        except EOFError:  # the caller is done, or has died
+            return
+        try:
+            answer = index, task(items[index]), None
+        except Exception as exc:
+            answer = index, None, exc
+        try:
+            pipe.send(answer)
+        except BrokenPipeError:  # the caller has died
+            return
+
+
+_FOREST_STEPS = (build_qrf_training_set, fit_forest, FittedForest.quantile)

@@ -67,12 +67,19 @@ class StormPulse:
     nodes: "tuple | None" = None
 
     def __post_init__(self):
+        # JSON values only: "3" or true raise TypeError, and 2.5 does for an integer
+        object.__setattr__(self, "start", _integer(self.start, "pulse start"))
+        object.__setattr__(self, "duration", _integer(self.duration, "pulse duration"))
+        object.__setattr__(self, "amplitude", _real(self.amplitude, "pulse amplitude"))
+        if self.variable is not None:
+            object.__setattr__(self, "variable", _integer(self.variable, "pulse variable"))
         if self.start < 1 or self.duration < 1:
             raise DimensionMismatch(
                 f"pulse start/duration must be >= 1, got ({self.start}, {self.duration})"
             )
         if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
+            nodes = tuple(_integer(n, "pulse nodes") for n in self.nodes)
+            object.__setattr__(self, "nodes", nodes)
 
     def to_dict(self) -> dict:
         return {
@@ -85,13 +92,12 @@ class StormPulse:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StormPulse":
-        variable, nodes = doc.get("variable"), doc.get("nodes")
         return cls(
-            start=_integer(doc["start"], "pulse start"),
-            duration=_integer(doc["duration"], "pulse duration"),
-            amplitude=_real(doc["amplitude"], "pulse amplitude"),
-            variable=None if variable is None else _integer(variable, "pulse variable"),
-            nodes=None if nodes is None else tuple(_integer(n, "pulse nodes") for n in nodes),
+            start=doc["start"],
+            duration=doc["duration"],
+            amplitude=doc["amplitude"],
+            variable=doc.get("variable"),
+            nodes=doc.get("nodes"),
         )
 
 
@@ -104,9 +110,9 @@ class WeatherSpec:
     pulses: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "ar_coefs", tuple(float(a) for a in self.ar_coefs))
+        object.__setattr__(self, "ar_coefs", tuple(_real(a, "ar_coefs") for a in self.ar_coefs))
         object.__setattr__(
-            self, "noise_scales", tuple(float(s) for s in self.noise_scales)
+            self, "noise_scales", tuple(_real(s, "noise_scales") for s in self.noise_scales)
         )
         object.__setattr__(self, "pulses", tuple(self.pulses))
         if len(self.ar_coefs) != len(self.noise_scales):
@@ -130,8 +136,8 @@ class WeatherSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "WeatherSpec":
         return cls(
-            ar_coefs=tuple(_real(a, "ar_coefs") for a in doc["ar_coefs"]),
-            noise_scales=tuple(_real(s, "noise_scales") for s in doc["noise_scales"]),
+            ar_coefs=doc["ar_coefs"],
+            noise_scales=doc["noise_scales"],
             pulses=tuple(StormPulse.from_dict(p) for p in doc.get("pulses", [])),
         )
 
@@ -147,6 +153,7 @@ class GraphSpec:
 
     def __post_init__(self):
         # JSON integers only: "2", 2.5, true or null raise TypeError, a ragged edge ValueError
+        object.__setattr__(self, "n_nodes", _integer(self.n_nodes, "graph.n_nodes"))
         edges = tuple((_integer(src, "edge"), _integer(dst, "edge")) for src, dst in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.grid_rows is not None:
@@ -189,7 +196,7 @@ class GraphSpec:
     def from_dict(cls, doc: dict) -> "GraphSpec":
         return cls(
             kind=doc["kind"],
-            n_nodes=_integer(doc["n_nodes"], "graph.n_nodes"),
+            n_nodes=doc["n_nodes"],
             edges=doc.get("edges", ()),
             grid_rows=doc.get("grid_rows"),
         )
@@ -205,6 +212,9 @@ class ScenarioConfig:
     explosion_cap: float = 1e4
 
     def __post_init__(self):
+        object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "explosion_cap", _real(self.explosion_cap, "explosion_cap"))
         if self.n_steps < 1:
             raise DimensionMismatch(f"n_steps must be >= 1, got {self.n_steps}")
         if self.seed < 0:
@@ -246,11 +256,11 @@ class ScenarioConfig:
         try:
             return cls(
                 graph=GraphSpec.from_dict(doc["graph"]),
-                n_steps=_integer(doc["n_steps"], "n_steps"),
+                n_steps=doc["n_steps"],
                 params=ModelParams.from_dict(doc["params"]),
                 weather=WeatherSpec.from_dict(doc["weather"]),
-                seed=_integer(doc.get("seed", 0), "seed"),
-                explosion_cap=_real(doc.get("explosion_cap", 1e4), "explosion_cap"),
+                seed=doc.get("seed", 0),
+                explosion_cap=doc.get("explosion_cap", 1e4),
             )
         except KeyError as exc:
             raise ConfigError(f"scenario is missing key {exc.args[0]!r}") from None

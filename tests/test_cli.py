@@ -441,17 +441,6 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     assert "config error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("workers", ["0", "-1", "x", "2.5"])
-@pytest.mark.parametrize("command", ["conformal", "pipeline"])
-def test_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, command, workers):
-    config = bad_config(tmp_path, command, {"method": "temporal"} if command == "conformal" else {})
-    monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
-    capsys.readouterr()
-    assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "GRAPH_CP_WORKERS" in err and len(err.splitlines()) == 1, err
-
-
 # -------------------------------------------------------------- pipeline
 
 

@@ -1,12 +1,15 @@
 import math
 import multiprocessing
 import os
+import signal
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from graphcp import conformal
 from graphcp.conformal import (
     IntervalSeries,
     _check_window,
@@ -297,16 +300,21 @@ def test_interval_series_rejects_crossed_bounds():
 # ---------------------------------------------------------------- fork pool
 
 
+def use_cpus(monkeypatch, n):
+    """Let the forest pool see ``n`` usable CPUs, so it starts ``n`` workers at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 POOL_CASES = {
     # 80 test steps: rounds start at steps 0, 30 and 60, the last is 20 long
-    "partial_last_round": (dict(seed=7), dict(retrain_stride=30), ("1", "2")),
-    "one_node": (dict(seed=8, k=1, edges=()), dict(retrain_stride=20), ("1", "2")),
-    "edgeless": (dict(seed=9, k=3, edges=()), dict(retrain_stride=25), ("1", "2")),
-    # two tasks, five workers asked for
+    "partial_last_round": (dict(seed=7), dict(retrain_stride=30), (1, 2)),
+    "one_node": (dict(seed=8, k=1, edges=()), dict(retrain_stride=20), (1, 2)),
+    "edgeless": (dict(seed=9, k=3, edges=()), dict(retrain_stride=25), (1, 2)),
+    # two tasks on five CPUs
     "more_workers_than_tasks": (
         dict(seed=10, k=2, edges=((0, 1),)),
         dict(retrain_stride=None),
-        ("1", "5"),
+        (1, 5),
     ),
 }
 
@@ -325,33 +333,74 @@ def bound_bytes(series):
 @pytest.mark.parametrize("method", ["temporal", "graph"])
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
 def test_intervals_do_not_depend_on_the_worker_count(monkeypatch, case, method):
-    setup, run_kwargs, worker_counts = POOL_CASES[case]
+    setup, run_kwargs, cpu_counts = POOL_CASES[case]
     panel, graph, params, data_split = small_setup(**setup)
     bounds = []
-    for workers in worker_counts:
-        monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
+    for cpus in cpu_counts:
+        use_cpus(monkeypatch, cpus)
         bounds.append(bound_bytes(forest_run(panel, graph, params, data_split, method, **run_kwargs)))
         assert multiprocessing.active_children() == []
     assert bounds[0] == bounds[1]
 
 
-def test_pooled_tasks_run_in_forked_workers_in_order(monkeypatch):
+def test_pooled_tasks_run_in_forked_workers_in_order():
     def task(item):
         return item, os.getpid()
 
-    monkeypatch.setenv("GRAPH_CP_WORKERS", "2")
-    pooled = _in_order(task, list(range(6)))
+    pooled = _in_order(task, list(range(6)), 2)
     assert [item for item, _ in pooled] == list(range(6))
     assert os.getpid() not in {pid for _, pid in pooled}
-    monkeypatch.setenv("GRAPH_CP_WORKERS", "1")
-    assert _in_order(task, list(range(6))) == [(item, os.getpid()) for item in range(6)]
+    assert _in_order(task, list(range(6)), 1) == [(item, os.getpid()) for item in range(6)]
     assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_raises_instead_of_hanging():
+    # a worker killed mid-task, as by the OOM killer, loses its task; the
+    # caller must not wait for it
+    def task(item):
+        if item == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    with time_limit(5), pytest.raises(ChildProcessError, match="exited with code -9"):
+        _in_order(task, list(range(8)), 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_stops_the_busy_workers():
+    # item 0 fails at once; item 1 would run for a minute if not stopped
+    def task(item):
+        if item == 0:
+            raise ValueError("item 0")
+        time.sleep(60)
+
+    with time_limit(5), pytest.raises(ValueError, match="item 0"):
+        _in_order(task, [0, 1], 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_rebound_forest_step_runs_in_this_process(monkeypatch):
+    # a profiler or a spy that wraps fit_forest records calls in the caller
+    # only, so the forests are grown here, with the same bounds
+    panel, graph, params, data_split = small_setup(12)
+    use_cpus(monkeypatch, 2)
+    pooled = forest_run(panel, graph, params, data_split, "graph", retrain_stride=40)
+    calls = []
+
+    def spy(*args):
+        calls.append(os.getpid())
+        return fit_forest(*args)
+
+    monkeypatch.setattr(conformal, "fit_forest", spy)
+    spied = forest_run(panel, graph, params, data_split, "graph", retrain_stride=40)
+    assert calls == [os.getpid()] * 8  # two rounds of four nodes
+    assert bound_bytes(spied) == bound_bytes(pooled)
 
 
 def test_back_to_back_pools_warn_nothing(monkeypatch):
     # Python 3.12 warns (DeprecationWarning) when a process forks while it
-    # runs other threads, such as the handler threads of an unjoined pool
-    monkeypatch.setenv("GRAPH_CP_WORKERS", "2")
+    # runs other threads
+    use_cpus(monkeypatch, 2)
     panel, graph, params, data_split = small_setup(11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -367,15 +416,15 @@ def residual_panel(k, n_test, calib_window):
     return rng.normal(size=(k, calib_window + n_test - 1)), np.zeros((k, n_test))
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_first_failing_forest_stops_the_pool(monkeypatch, workers):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_failing_forest_stops_the_pool(monkeypatch, cpus):
     # node 0's residuals are too large to score splits on, so its round-0
     # forest, the first task, raises; the other 39 forests take several
     # seconds to grow and must not be waited for
     k, n_test, calib_window = 4, 100, 1000
     resid, points = residual_panel(k, n_test, calib_window)
     resid[0] *= 1e200
-    monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
+    use_cpus(monkeypatch, cpus)
     with time_limit(2), pytest.raises(DegenerateData, match="too large to score"):
         _forest_intervals(
             resid, points, [[j] for j in range(k)], 0.1, 4, calib_window, 10,
@@ -391,8 +440,8 @@ def test_pool_raises_the_first_failing_tasks_error(monkeypatch):
     resid[0, 5] = np.nan
     resid[1] *= 1e200
     errors = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("GRAPH_CP_WORKERS", workers)
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
         with pytest.raises(DegenerateData) as info:
             _forest_intervals(
                 resid, points, [[j] for j in range(k)], 0.1, 4, calib_window, 20,
