@@ -31,7 +31,7 @@ import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtr, pdtrik
 
 from .errors import (
     AlignmentError,
@@ -172,7 +172,18 @@ def poisson_interval(rate, alpha: float):
     """Equal-tail discrete quantiles of Poisson(rate), elementwise over rates."""
     if not 0.0 < alpha < 1.0:
         raise DimensionMismatch(f"alpha must lie in (0, 1), got {alpha}")
-    return stats.poisson.ppf(alpha / 2.0, rate), stats.poisson.ppf(1.0 - alpha / 2.0, rate)
+    rate = np.asarray(rate, dtype=np.float64)
+    return _poisson_ppf(alpha / 2.0, rate), _poisson_ppf(1.0 - alpha / 2.0, rate)
+
+
+def _poisson_ppf(q: float, rate: np.ndarray):
+    """``scipy.stats.poisson.ppf(q, rate)`` for q in (0, 1), by the steps of
+    its ``poisson._ppf``; this spares every graphcp import the load of
+    ``scipy.stats``.  A negative or nan rate gives nan, as ``pdtrik`` does.
+    """
+    vals = np.ceil(pdtrik(q, rate))
+    low = np.maximum(vals - 1, 0)
+    return np.where(pdtr(low, rate) >= q, low, vals)[()]
 
 
 def build_qrf_training_set(buffered, nodes, window: int):

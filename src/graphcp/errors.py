@@ -4,6 +4,9 @@
 to exit code 3, and every other ``GraphCPError`` to exit code 4.
 """
 
+import math
+import operator
+
 
 class GraphCPError(Exception):
     """Base class for all package errors."""
@@ -86,14 +89,21 @@ def coerce(kind, value, what: str):
 
     ``bool``, ``str``, ``list`` and ``dict`` are not conversions: the value
     must be a JSON value of that type, so ``"false"`` is not a boolean and
-    ``5`` is not a path.
+    ``5`` is not a path.  Neither are ``int`` and ``float``: an int takes a
+    JSON integer (``1.5`` is not one), a float a finite JSON number, and
+    neither a string or a boolean.
     """
     if kind in (bool, str, list, dict) and not isinstance(value, kind):
         raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
+    if kind in (int, float) and isinstance(value, (str, bool)):
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
     try:
-        return kind(value)
+        result = operator.index(value) if kind is int else kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from exc
+    if kind is float and not math.isfinite(result):
+        raise ConfigError(f"{what}: expected a finite number, got {value!r}")
+    return result
 
 
 _REQUIRED = object()  # the ``take`` default of a key that must be present

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, NoEligibleNodes, coerce, take
+from .errors import AlignmentError, ConfigError, NoEligibleNodes, coerce, take
 from .conformal import METHODS, IntervalSeries
 from .panel import write_csv
 
@@ -69,7 +69,9 @@ class MethodReport:
         for node, metrics in take(doc, "per_node", dict, where=where).items():
             at = f"{where}per_node.{node}"
             metrics = _fields(coerce(dict, metrics, at), _NODE_FIELDS, at + ".")
-            per_node[coerce(int, node, at)] = NodeMetrics(**metrics)
+            if not node.isdecimal():
+                raise ConfigError(f"{at}: expected a node id, got {node!r}")
+            per_node[int(node)] = NodeMetrics(**metrics)
         return cls(
             method=take(doc, "method", str, where=where),
             per_node=per_node,
@@ -77,7 +79,14 @@ class MethodReport:
         )
 
 
-_REPORT_FIELDS = dict(coverage=float, nonzero_coverage=float, mean_width=float, n_infinite_width=int)
+def number(value) -> float:
+    """A JSON number, finite or not: ``mean_width`` is inf when every width is."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+_REPORT_FIELDS = dict(coverage=float, nonzero_coverage=float, mean_width=number, n_infinite_width=int)
 _NODE_FIELDS = dict(_REPORT_FIELDS, mean_y=float, n_cells=int)
 
 

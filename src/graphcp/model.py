@@ -32,6 +32,7 @@ Rates are floored at ``INTENSITY_FLOOR`` so the log stays finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -349,32 +350,76 @@ def excitation(counts: np.ndarray, decay, *, _with_sensitivity=False):
     get dS/d(decay), which obeys
 
         dS[j, t] = exp(-decay[j]) * (dS[j, t-1] + counts[j, t-1]) - S[j, t]
+
+    Narrow panels (16 K < T) run each node's recursions as IIR filters in C,
+    wide ones a time loop over all nodes at once; both give the same bits.
     """
     counts = np.asarray(counts, dtype=np.float64)
     decay = np.atleast_1d(np.asarray(decay, dtype=np.float64))
     k, t_total = counts.shape
     if decay.shape != (k,):
         raise DimensionMismatch(f"{decay.shape[0]} decay rates for {k} nodes")
+    if not np.all(np.isfinite(decay) & (decay >= 0)):
+        raise DimensionMismatch("decay must be finite and nonnegative")
     damp = np.exp(-decay)
+    parts = None
+    if 16 * k < t_total:
+        parts = _excitation_filtered(counts, decay, damp, _with_sensitivity)
+    # past an overflow the filters' extra terms give nan where the loop gives
+    # inf, so a non-finite result is recomputed by the loop
+    if parts is None or not all(np.isfinite(part).all() for part in parts):
+        parts = _excitation_loop(counts, decay, damp, _with_sensitivity)
+    return parts if _with_sensitivity else parts[0]
+
+
+def _excitation_loop(counts, decay, damp, with_sensitivity) -> tuple:
+    """``excitation`` as a loop over time, each step vectorised over the nodes."""
+    k, t_total = counts.shape
     # Time-major rows [S | dS]. Row t starts out holding step t-1's input,
     # then two or three in-place ufunc calls finish it; each rounds exactly
     # like the (K, T) form.
-    width = 2 * k if _with_sensitivity else k
+    width = 2 * k if with_sensitivity else k
     state = np.zeros((t_total, width))
     np.multiply(counts.T[:-1], decay, out=state[1:, :k])
-    if _with_sensitivity:
+    if with_sensitivity:
         state[1:, k:] = counts.T[:-1]
         damp = np.concatenate([damp, damp])
     add, multiply, subtract = np.add, np.multiply, np.subtract
     for prev, row, excite, sens in zip(state, state[1:], state[1:, :k], state[1:, k:]):
         add(prev, row, out=row)
         multiply(row, damp, out=row)
-        if _with_sensitivity:
+        if with_sensitivity:
             subtract(sens, excite, out=sens)
-    excite = np.ascontiguousarray(state[:, :k].T)
-    if _with_sensitivity:
-        return excite, np.ascontiguousarray(state[:, k:].T)
-    return excite
+    if with_sensitivity:
+        return np.ascontiguousarray(state[:, :k].T), np.ascontiguousarray(state[:, k:].T)
+    return (np.ascontiguousarray(state.T),)
+
+
+def _excitation_filtered(counts, decay, damp, with_sensitivity) -> tuple:
+    """``excitation`` as two ``lfilter`` calls per node (direct form II transposed).
+
+    Each filter step multiplies only by 0, +-1 or damp and adds the damped
+    term to one input, so while every value stays finite it rounds exactly
+    like the loop's separate ufunc calls, fused multiply-adds or not.
+    """
+    from scipy.signal import lfilter  # deferred: only narrow panels load it
+
+    k, t_total = counts.shape
+    excite = np.zeros((k, t_total))
+    sens = np.zeros((k, t_total)) if with_sensitivity else None
+    interleaved = np.empty(2 * (t_total - 1))
+    for j in range(k):
+        # the loop's S[t] / damp: S[t-1] + decay * counts[t-1]
+        summed = lfilter([1.0, 0.0], [1.0, -damp[j]], decay[j] * counts[j, :-1])
+        np.multiply(damp[j], summed, out=excite[j, 1:])
+        if with_sensitivity:
+            # even outputs are dS[t] + counts[t], the value the loop damps;
+            # the odd outputs form a separate chain and are discarded
+            interleaved[0::2] = counts[j, :-1]
+            interleaved[1::2] = excite[j, 1:]
+            summed = lfilter([1.0, -1.0, 0.0], [1.0, 0.0, -damp[j]], interleaved)[0::2]
+            np.subtract(damp[j] * summed, excite[j, 1:], out=sens[j, 1:])
+    return (excite, sens) if with_sensitivity else (excite,)
 
 
 @dataclass
@@ -688,8 +733,10 @@ class FitConfig:
 
     def __post_init__(self):
         # a zero learning rate is allowed: the fit then returns its start
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_len < 1:

@@ -12,6 +12,7 @@ inputs; pulse timing and amplitude are configuration, not physics.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -46,10 +47,14 @@ def _integer(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """A JSON number: ``"1e3"`` and ``true`` raise TypeError."""
+    """A finite JSON number: ``"1e3"`` and ``true`` raise TypeError, NaN and
+    +-Infinity ValueError."""
     if isinstance(value, (str, bool)):
         raise TypeError(f"{what}: expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what}: expected a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,28 @@ BAD_NUMBERS = [
 ]
 
 
+# stage-section numbers that int() and float() accept but that are not JSON
+# integers or numbers; a fraction used to be truncated (1.9 epochs ran 1)
+STAGE_NUMBERS = [
+    ("fit", {"optimizer": {"epochs": "10"}}),
+    ("fit", {"optimizer": {"epochs": 1.9}}),
+    ("fit", {"optimizer": {"learning_rate": "0.01"}}),
+    ("fit", {"init": {"hidden": 2.0}}),
+    ("fit", {"seed": True}),
+    ("fit", {"split": ["0.4", 0.3, 0.3]}),
+    ("pipeline", {"seed": "4"}),
+    ("pipeline", {"seed": True}),
+    ("conformal", {"method": "poisson", "alpha": "0.1"}),
+    ("conformal", {"method": "poisson", "window": 4.5}),
+    ("conformal", {"method": "poisson", "forest": {"n_trees": True}}),
+    ("predict", {"range": [5.0, 8]}),
+    ("predict", edited_params(lambda p: p.update(window=6.5))),
+    ("predict", edited_params(lambda p: p["response"].update(b_out="0.1"))),
+    ("report", metrics_file(lambda m: m["methods"]["graph"].update(n_infinite_width=True))),
+    ("report", metrics_file(lambda m: m["methods"]["graph"].update(coverage="0.9"))),
+]
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [
@@ -426,7 +449,8 @@ BAD_NUMBERS = [
         (command, scenario_edited(edit))
         for command in ("simulate", "pipeline")
         for edit in BAD_NUMBERS
-    ],
+    ]
+    + STAGE_NUMBERS,
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     # a section that is not a JSON object, a scenario, params or metrics
@@ -439,6 +463,70 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+def nonfinite_run(tmp_path, capsys, command, bad):
+    """Exit code and stderr lines of ``command`` on ``bad_config``."""
+    config = bad_config(tmp_path, command, bad)
+    capsys.readouterr()
+    code = cli_main([command, "--config", config, "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err.splitlines()
+
+
+# JSON reads NaN, Infinity and -Infinity; a NaN AR coefficient or noise scale
+# used to crash simulate with a traceback (rng.poisson's "lam value too
+# large"), and a NaN explosion cap to switch its guard off
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["weather"].update(ar_coefs=[math.nan]),
+        lambda doc: doc["weather"].update(noise_scales=[math.nan]),
+        lambda doc: doc["weather"].update(noise_scales=[math.inf]),
+        lambda doc: doc.update(explosion_cap=math.nan),
+        lambda doc: doc.update(explosion_cap=math.inf),
+        pulse(amplitude=math.inf),
+        pulse(amplitude=-math.inf),
+    ],
+    ids=["ar_nan", "noise_nan", "noise_inf", "cap_nan", "cap_inf", "amplitude_inf",
+         "amplitude_-inf"],
+)
+def test_nonfinite_weather_spec_exits_2(tmp_path, capsys, command, edit):
+    code, err = nonfinite_run(tmp_path, capsys, command, scenario_edited(edit))
+    assert code == 2 and len(err) == 1 and "config error" in err[0], err
+
+
+# a NaN threshold used to make every node ineligible: pipeline wrote a
+# header-only winner table and exited 0
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("pipeline", {"evaluate": {"outage_threshold": math.nan}}),
+        ("pipeline", {"evaluate": {"outage_threshold": math.inf}}),
+        ("report", lambda doc, tmp: {**metrics_file(lambda m: None)(doc, tmp),
+                                     "outage_threshold": math.nan}),
+    ],
+)
+def test_nonfinite_outage_threshold_exits_2(tmp_path, capsys, command, bad):
+    code, err = nonfinite_run(tmp_path, capsys, command, bad)
+    assert code == 2 and len(err) == 1 and "config error" in err[0], err
+    assert not (tmp_path / "o" / "winner.csv").exists()
+
+
+# an infinite learning rate used to roll back every epoch and return the
+# initial parameters with exit 0
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("fit", {"optimizer": {"epochs": 1, "learning_rate": math.inf}}),
+        ("pipeline", {"fit": dict(pipeline_doc()["fit"], learning_rate=math.inf)}),
+    ],
+)
+def test_infinite_learning_rate_exits_2(tmp_path, capsys, command, bad):
+    code, err = nonfinite_run(tmp_path, capsys, command, bad)
+    assert code == 2 and len(err) == 1 and "config error" in err[0], err
+    assert not (tmp_path / "o" / "model" / "params.json").exists()
+    assert not (tmp_path / "o" / "params.json").exists()
 
 
 # -------------------------------------------------------------- pipeline

@@ -2,8 +2,11 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,38 @@ def test_poisson_interval_matches_cdf_oracle():
             lower, upper = poisson_interval(rate, alpha)
             assert lower == oracle_poisson_quantile(rate, alpha / 2.0)
             assert upper == oracle_poisson_quantile(rate, 1.0 - alpha / 2.0)
+
+
+def test_poisson_interval_matches_scipy_stats():
+    rng = np.random.default_rng(4)
+    rates = np.concatenate([
+        rng.exponential(5.0, 20_000), rng.uniform(0.0, 2000.0, 20_000),
+        np.linspace(1e-12, 50.0, 20_000),
+        [0.0, -0.0, 5e-324, 1e-300, 1e-8, 1e15, 1e300, np.inf, -np.inf, np.nan, -1.0],
+    ])
+    for alpha in (0.01, 0.1, 0.5, 0.99):
+        for got, q in zip(poisson_interval(rates, alpha), (alpha / 2.0, 1.0 - alpha / 2.0)):
+            want = stats.poisson.ppf(q, rates)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), alpha
+        for rate in (4.0, 0.0, -2.0, math.nan, 3):
+            got = poisson_interval(rate, alpha)
+            want = (stats.poisson.ppf(alpha / 2.0, rate), stats.poisson.ppf(1.0 - alpha / 2.0, rate))
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_import_graphcp_loads_neither_scipy_stats_nor_signal():
+    # scipy.signal, which itself loads scipy.stats, is imported by the first
+    # excitation on a narrow panel
+    code = (
+        "import sys, graphcp; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+    )
+    src = str(Path(conformal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
 # ---------------------------------------------------------------- history

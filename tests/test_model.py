@@ -160,6 +160,15 @@ def test_excitation_matches_double_sum():
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [-0.5, -5e-324, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t_total", [10, 200])  # the loop and the filters
+def test_excitation_rejects_negative_or_nonfinite_decay(bad, t_total):
+    counts = np.ones((2, t_total))
+    for sensitivity in (False, True):
+        with pytest.raises(DimensionMismatch):
+            excitation(counts, np.array([0.5, bad]), _with_sensitivity=sensitivity)
+
+
 # ------------------------------------------------------- intensity
 
 
@@ -330,6 +339,7 @@ def small_fit_instance(seed=0):
         {"learning_rate": float("nan")},
         {"momentum": 1.0},
         {"momentum": -0.1},
+        {"learning_rate": math.inf},
     ],
 )
 def test_fit_config_rejects_out_of_range_values(bad):

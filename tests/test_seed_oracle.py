@@ -624,6 +624,16 @@ MODEL_CASES = [
     (5, 50, 8, True, False),  # zero decay
     (5, 50, 8, False, True),  # all-zero counts
     (20, 33, 1, False, False),  # window of one step
+    # narrow panels (16 K < T), where excitation runs its filters
+    (1, 100, 6, False, False),
+    (3, 240, 24, False, False),
+    (6, 600, 12, False, False),
+    (4, 300, 8, True, False),  # zero decay
+    (4, 300, 8, False, True),  # all-zero counts
+    (5, 80, 8, False, False),  # 16 K == T: the loop
+    (5, 81, 8, False, False),  # 16 K == T - 1: the filters
+    (1, 1, 3, False, False),  # T=1
+    (2, 2, 1, False, False),  # T=2
 ]
 
 
@@ -664,20 +674,93 @@ def test_model_layer_matches_whole_panel_oracle(
         ), block
 
 
-def test_fit_matches_oracle_fit(monkeypatch):
-    """A storm-like fit (momentum, blocks, train range) gives the oracle's bits."""
-    rng = np.random.default_rng(7)
-    panel, graph, params = random_model_instance(rng, 6, 150, 24, hidden=4)
-    config = FitConfig(learning_rate=2e-2, epochs=6, batch_len=20, momentum=0.9, seed=3)
-    got = fit(panel, graph, params, config, time_range=(1, 50))
+KERNEL_CASES = [
+    # (K, T, zero_decay, zero_counts); the panel's width picks the kernel,
+    # so each case is run through both
+    (1, 1, False, False),
+    (1, 2, False, False),
+    (3, 2, False, False),
+    (5, 80, False, False),
+    (2, 100, False, False),
+    (6, 600, False, False),
+    (4, 300, True, False),
+    (4, 300, False, True),
+    (20, 90, False, False),
+]
+
+
+@pytest.mark.parametrize("kernel", ["_excitation_loop", "_excitation_filtered"])
+@pytest.mark.parametrize("k, t_total, zero_decay, zero_counts", KERNEL_CASES)
+def test_both_excitation_kernels_match_oracle(kernel, k, t_total, zero_decay, zero_counts):
+    rng = np.random.default_rng(100 * k + t_total)
+    panel, _, params = random_model_instance(
+        rng, k, t_total, 4, zero_decay=zero_decay, zero_counts=zero_counts
+    )
+    counts = panel.counts.astype(np.float64)
+    decay = params.decay
+    run = getattr(model, kernel)
+    want_excite, want_sens = oracle_excitation_with_sensitivity(counts, decay)
+    (excite,) = run(counts, decay, np.exp(-decay), False)
+    assert np.array_equal(bits(excite), bits(oracle_excitation(counts, decay)))
+    excite, sens = run(counts, decay, np.exp(-decay), True)
+    assert np.array_equal(bits(excite), bits(want_excite))
+    assert np.array_equal(bits(sens), bits(want_sens))
+
+
+@pytest.mark.parametrize("k, t_total, filtered", [(1, 16, False), (1, 17, True),
+                                                  (5, 80, False), (5, 81, True),
+                                                  (400, 500, False)])
+def test_excitation_kernel_follows_the_panel_shape(monkeypatch, k, t_total, filtered):
+    calls = []
+    real = model._excitation_filtered
+    monkeypatch.setattr(
+        model, "_excitation_filtered", lambda *args: calls.append(1) or real(*args)
+    )
+    counts = np.ones((k, t_total))
+    excitation(counts, np.full(k, 0.5))
+    excitation(counts, np.full(k, 0.5), _with_sensitivity=True)
+    assert len(calls) == (2 if filtered else 0)
+
+
+def test_excitation_overflow_falls_back_to_the_loop():
+    # past an overflow the filters' discarded chain turns inf into nan; the
+    # loop's inf is returned instead
+    counts = np.full((1, 2000), 1.7e305)
+    decay = np.zeros(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        excite, sens = excitation(counts, decay, _with_sensitivity=True)
+        want_excite, want_sens = oracle_excitation_with_sensitivity(counts, decay)
+    assert np.isinf(sens[0, -1])
+    assert np.array_equal(bits(excite), bits(want_excite))
+    assert np.array_equal(bits(sens), bits(want_sens))
+
+
+def assert_fit_matches_oracle_fit(monkeypatch, panel, graph, params, config, time_range):
+    got = fit(panel, graph, params, config, time_range=time_range)
     monkeypatch.setattr(model, "log_likelihood", oracle_log_likelihood)
     monkeypatch.setattr(model, "likelihood_gradient", oracle_likelihood_gradient)
-    want = fit(panel, graph, params, config, time_range=(1, 50))
+    want = fit(panel, graph, params, config, time_range=time_range)
     assert got.checkpoints[-1] > got.checkpoints[0]
     assert np.array_equal(got.checkpoints, want.checkpoints)
     assert got.n_retreats == want.n_retreats
     assert got.learning_rate_final == want.learning_rate_final
     assert got.params.to_dict() == want.params.to_dict()
+
+
+def test_fit_matches_oracle_fit(monkeypatch):
+    """A storm-like fit (momentum, blocks, train range) gives the oracle's bits."""
+    rng = np.random.default_rng(7)
+    panel, graph, params = random_model_instance(rng, 6, 150, 24, hidden=4)
+    config = FitConfig(learning_rate=2e-2, epochs=6, batch_len=20, momentum=0.9, seed=3)
+    assert_fit_matches_oracle_fit(monkeypatch, panel, graph, params, config, (1, 50))
+
+
+def test_narrow_fit_matches_oracle_fit(monkeypatch):
+    """A fit whose later blocks pass 16 K steps runs the filters and keeps the oracle's bits."""
+    rng = np.random.default_rng(8)
+    panel, graph, params = random_model_instance(rng, 4, 160, 12, hidden=3)
+    config = FitConfig(learning_rate=2e-2, epochs=4, batch_len=40, momentum=0.5, seed=5)
+    assert_fit_matches_oracle_fit(monkeypatch, panel, graph, params, config, (1, 160))
 
 
 # --------------------------------------------------------------------------
