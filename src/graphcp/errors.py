@@ -4,8 +4,10 @@
 to exit code 3, and every other ``GraphCPError`` to exit code 4.
 """
 
+import dataclasses
 import math
 import operator
+from typing import NamedTuple
 
 
 class GraphCPError(Exception):
@@ -84,6 +86,14 @@ class NoEligibleNodes(GraphCPError):
     """Winner table requested but no node clears the outage threshold."""
 
 
+class ListOf(NamedTuple):
+    """A ``coerce`` kind: a JSON list of ``kind`` values, read as a tuple of
+    ``length`` items when ``length`` is given."""
+
+    kind: object
+    length: "int | None" = None
+
+
 def coerce(kind, value, what: str):
     """``kind(value)`` for a config value; a wrong-typed value raises ConfigError.
 
@@ -91,8 +101,16 @@ def coerce(kind, value, what: str):
     must be a JSON value of that type, so ``"false"`` is not a boolean and
     ``5`` is not a path.  Neither are ``int`` and ``float``: an int takes a
     JSON integer (``1.5`` is not one), a float a finite JSON number, and
-    neither a string or a boolean.
+    neither a string or a boolean.  A ``ListOf`` reads each item as its
+    kind, and a dataclass kind reads a JSON object through its ``from_dict``.
     """
+    if isinstance(kind, ListOf):
+        items = coerce(list, value, what)
+        if kind.length not in (None, len(items)):
+            raise ConfigError(f"{what}: expected {kind.length} items, got {value!r}")
+        return tuple(coerce(kind.kind, item, f"{what}[{i}]") for i, item in enumerate(items))
+    if dataclasses.is_dataclass(kind):
+        return kind.from_dict(coerce(dict, value, what), what + ".")
     if kind in (bool, str, list, dict) and not isinstance(value, kind):
         raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
     if kind in (int, float) and isinstance(value, (str, bool)):
@@ -127,3 +145,33 @@ def done(doc: dict, where: str = "") -> None:
     """Reject the keys a parser left in its section: they are unknown."""
     if doc:
         raise ConfigError(f"unknown key(s) {[where + key for key in sorted(doc)]}")
+
+
+def read_fields(cls, doc: dict, kinds: dict, where: str = ""):
+    """The dataclass ``cls`` read from the JSON object ``doc``.
+
+    Each field is ``take``n as ``kinds[name]``.  An absent field keeps its
+    dataclass default, a field whose default is None may be null, and any
+    other key in ``doc`` raises ConfigError.
+    """
+    doc = dict(doc)
+    values = {
+        field.name: take(doc, field.name, kinds[field.name], where=where,
+                         nullable=field.default is None)
+        for field in dataclasses.fields(cls)
+        if field.name in doc or field.default is dataclasses.MISSING
+    }
+    done(doc, where)
+    return cls(**values)
+
+
+def field_dict(obj) -> dict:
+    """The JSON object of the dataclass ``obj``, the inverse of ``read_fields``:
+    its fields by name, nested objects through their ``to_dict``, tuples as lists."""
+    return {field.name: _json_value(getattr(obj, field.name)) for field in dataclasses.fields(obj)}
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value

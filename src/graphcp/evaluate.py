@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, NoEligibleNodes, coerce, take
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    NoEligibleNodes,
+    coerce,
+    field_dict,
+    read_fields,
+    take,
+)
 from .conformal import METHODS, IntervalSeries
 from .panel import write_csv
 
@@ -38,6 +46,14 @@ class NodeMetrics:
     mean_y: float
     n_cells: int
 
+    to_dict = field_dict
+
+    @classmethod
+    def from_dict(cls, doc: dict, where: str = "") -> "NodeMetrics":
+        kinds = dict(coverage=float, nonzero_coverage=float, mean_width=number,
+                     n_infinite_width=int, mean_y=float, n_cells=int)
+        return read_fields(cls, doc, kinds, where)
+
 
 @dataclass(frozen=True)
 class MethodReport:
@@ -49,34 +65,23 @@ class MethodReport:
     per_node: dict  # node id -> NodeMetrics
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "coverage": self.coverage,
-            "nonzero_coverage": self.nonzero_coverage,
-            "mean_width": self.mean_width,
-            "n_infinite_width": self.n_infinite_width,
-            "per_node": {
-                str(node): vars(metrics) for node, metrics in sorted(self.per_node.items())
-            },
-        }
+        # string node ids, which write_json sorts as text: "10" before "2"
+        per_node = {str(node): metrics.to_dict() for node, metrics in sorted(self.per_node.items())}
+        return dict(field_dict(self), per_node=per_node)
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "") -> "MethodReport":
-        """Parse ``to_dict`` output; a missing key or a wrong-typed value raises
+        """Parse ``to_dict`` output; a missing, unknown or wrong-typed key raises
         ConfigError naming the key, prefixed by ``where``."""
-        doc = dict(doc)
         per_node = {}
-        for node, metrics in take(doc, "per_node", dict, where=where).items():
+        for node, metrics in take(dict(doc), "per_node", dict, where=where).items():
             at = f"{where}per_node.{node}"
-            metrics = _fields(coerce(dict, metrics, at), _NODE_FIELDS, at + ".")
             if not node.isdecimal():
                 raise ConfigError(f"{at}: expected a node id, got {node!r}")
-            per_node[int(node)] = NodeMetrics(**metrics)
-        return cls(
-            method=take(doc, "method", str, where=where),
-            per_node=per_node,
-            **_fields(doc, _REPORT_FIELDS, where),
-        )
+            per_node[int(node)] = coerce(NodeMetrics, metrics, at)
+        kinds = dict(method=str, coverage=float, nonzero_coverage=float, mean_width=number,
+                     n_infinite_width=int, per_node=dict)
+        return read_fields(cls, dict(doc, per_node=per_node), kinds, where)
 
 
 def number(value) -> float:
@@ -84,14 +89,6 @@ def number(value) -> float:
     if isinstance(value, (str, bool)):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
-
-
-_REPORT_FIELDS = dict(coverage=float, nonzero_coverage=float, mean_width=number, n_infinite_width=int)
-_NODE_FIELDS = dict(_REPORT_FIELDS, mean_y=float, n_cells=int)
-
-
-def _fields(doc: dict, kinds: dict, where: str) -> dict:
-    return {key: take(doc, key, kind, where=where) for key, kind in kinds.items()}
 
 
 @dataclass(frozen=True)

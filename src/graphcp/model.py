@@ -236,34 +236,41 @@ class ModelParams:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ModelParams":
+    def from_dict(cls, doc: dict, where: str = "params.") -> "ModelParams":
         """Parse ``to_dict`` output; a missing key or a wrong-typed value raises
-        ConfigError naming the key."""
-        doc = coerce(dict, doc, "params")
-        resp = take(doc, "response", dict, where="params.")
-        coupling = take(doc, "coupling", list, where="params.")
-        try:
-            coupling = {(int(s), int(d)): float(v) for s, d, v in coupling}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params.coupling: expected [src, dst, value] rows ({exc})") from exc
+        ConfigError naming the key, prefixed by ``where``.  Other keys are ignored."""
+        doc = dict(coerce(dict, doc, where.rstrip(".")))
+        resp = dict(take(doc, "response", dict, where=where))
+        coupling = {}
+        for i, row in enumerate(take(doc, "coupling", list, where=where)):
+            at = f"{where}coupling[{i}]"
+            if not isinstance(row, list) or len(row) != 3:
+                raise ConfigError(f"{at}: expected [src, dst, value], got {row!r}")
+            src, dst, value = row
+            coupling[coerce(int, src, at), coerce(int, dst, at)] = coerce(float, value, at)
+        at = f"{where}response."
         return cls(
             coupling=coupling,
-            decay=take(doc, "decay", float_array, where="params."),
-            scale=take(doc, "scale", float_array, where="params."),
-            weather_decay=take(doc, "weather_decay", float_array, where="params."),
+            decay=take(doc, "decay", float_array, where=where),
+            scale=take(doc, "scale", float_array, where=where),
+            weather_decay=take(doc, "weather_decay", float_array, where=where),
             response=ResponseWeights(
-                take(resp, "w_hidden", float_array, where="params.response."),
-                take(resp, "b_hidden", float_array, where="params.response."),
-                take(resp, "w_out", float_array, where="params.response."),
-                take(resp, "b_out", float, where="params.response."),
+                take(resp, "w_hidden", float_array, where=at),
+                take(resp, "b_hidden", float_array, where=at),
+                take(resp, "w_out", float_array, where=at),
+                take(resp, "b_out", float, where=at),
             ),
-            window=take(doc, "window", int, where="params."),
-            seed=doc.get("seed"),
+            window=take(doc, "window", int, where=where),
+            seed=take(doc, "seed", int, None, where, nullable=True),
         )
 
 
 def float_array(value) -> np.ndarray:
-    return np.array(value, dtype=np.float64)
+    """A JSON array of numbers as float64; strings, booleans, null or ragged rows raise."""
+    array = np.array(value)
+    if array.dtype.kind not in "iuf":
+        raise TypeError(f"not an array of numbers: {value!r}")
+    return array.astype(np.float64)
 
 
 def save_params(params: ModelParams, path: "str | Path") -> None:

@@ -12,13 +12,11 @@ inputs; pulse timing and amplitude are configuration, not physics.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, ExplosiveConfig
+from .errors import ConfigError, DimensionMismatch, ExplosiveConfig, ListOf, field_dict, read_fields
 from .model import (
     INTENSITY_FLOOR,
     ModelParams,
@@ -36,27 +34,6 @@ __all__ = [
 ]
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer: ``"4"``, ``2.5``, ``true`` and null raise TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what}: expected an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what}: expected an integer, got {value!r}") from None
-
-
-def _real(value, what: str) -> float:
-    """A finite JSON number: ``"1e3"`` and ``true`` raise TypeError, NaN and
-    +-Infinity ValueError."""
-    if isinstance(value, (str, bool)):
-        raise TypeError(f"{what}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{what}: expected a finite number, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class StormPulse:
     """Additive weather excursion: amplitude on [start, start + duration) steps.
@@ -72,38 +49,17 @@ class StormPulse:
     nodes: "tuple | None" = None
 
     def __post_init__(self):
-        # JSON values only: "3" or true raise TypeError, and 2.5 does for an integer
-        object.__setattr__(self, "start", _integer(self.start, "pulse start"))
-        object.__setattr__(self, "duration", _integer(self.duration, "pulse duration"))
-        object.__setattr__(self, "amplitude", _real(self.amplitude, "pulse amplitude"))
-        if self.variable is not None:
-            object.__setattr__(self, "variable", _integer(self.variable, "pulse variable"))
         if self.start < 1 or self.duration < 1:
             raise DimensionMismatch(
                 f"pulse start/duration must be >= 1, got ({self.start}, {self.duration})"
             )
-        if self.nodes is not None:
-            nodes = tuple(_integer(n, "pulse nodes") for n in self.nodes)
-            object.__setattr__(self, "nodes", nodes)
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "duration": self.duration,
-            "amplitude": self.amplitude,
-            "variable": self.variable,
-            "nodes": None if self.nodes is None else list(self.nodes),
-        }
+    to_dict = field_dict
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "StormPulse":
-        return cls(
-            start=doc["start"],
-            duration=doc["duration"],
-            amplitude=doc["amplitude"],
-            variable=doc.get("variable"),
-            nodes=doc.get("nodes"),
-        )
+    def from_dict(cls, doc: dict, where: str = "") -> "StormPulse":
+        kinds = dict(start=int, duration=int, amplitude=float, variable=int, nodes=ListOf(int))
+        return read_fields(cls, doc, kinds, where)
 
 
 @dataclass(frozen=True)
@@ -115,11 +71,6 @@ class WeatherSpec:
     pulses: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "ar_coefs", tuple(_real(a, "ar_coefs") for a in self.ar_coefs))
-        object.__setattr__(
-            self, "noise_scales", tuple(_real(s, "noise_scales") for s in self.noise_scales)
-        )
-        object.__setattr__(self, "pulses", tuple(self.pulses))
         if len(self.ar_coefs) != len(self.noise_scales):
             raise DimensionMismatch("ar_coefs and noise_scales disagree on M")
         if any(abs(a) >= 1 for a in self.ar_coefs):
@@ -131,20 +82,12 @@ class WeatherSpec:
     def n_vars(self) -> int:
         return len(self.ar_coefs)
 
-    def to_dict(self) -> dict:
-        return {
-            "ar_coefs": list(self.ar_coefs),
-            "noise_scales": list(self.noise_scales),
-            "pulses": [p.to_dict() for p in self.pulses],
-        }
+    to_dict = field_dict
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "WeatherSpec":
-        return cls(
-            ar_coefs=doc["ar_coefs"],
-            noise_scales=doc["noise_scales"],
-            pulses=tuple(StormPulse.from_dict(p) for p in doc.get("pulses", [])),
-        )
+    def from_dict(cls, doc: dict, where: str = "") -> "WeatherSpec":
+        kinds = dict(ar_coefs=ListOf(float), noise_scales=ListOf(float), pulses=ListOf(StormPulse))
+        return read_fields(cls, doc, kinds, where)
 
 
 @dataclass(frozen=True)
@@ -155,14 +98,6 @@ class GraphSpec:
     n_nodes: int
     edges: tuple = ()
     grid_rows: "int | None" = None
-
-    def __post_init__(self):
-        # JSON integers only: "2", 2.5, true or null raise TypeError, a ragged edge ValueError
-        object.__setattr__(self, "n_nodes", _integer(self.n_nodes, "graph.n_nodes"))
-        edges = tuple((_integer(src, "edge"), _integer(dst, "edge")) for src, dst in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if self.grid_rows is not None:
-            object.__setattr__(self, "grid_rows", _integer(self.grid_rows, "grid_rows"))
 
     def build(self) -> ServiceGraph:
         k = self.n_nodes
@@ -189,22 +124,12 @@ class GraphSpec:
             return ServiceGraph.from_edges(k, edges)
         raise DimensionMismatch(f"unknown graph kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_nodes": self.n_nodes,
-            "edges": [list(e) for e in self.edges],
-            "grid_rows": self.grid_rows,
-        }
+    to_dict = field_dict
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GraphSpec":
-        return cls(
-            kind=doc["kind"],
-            n_nodes=doc["n_nodes"],
-            edges=doc.get("edges", ()),
-            grid_rows=doc.get("grid_rows"),
-        )
+    def from_dict(cls, doc: dict, where: str = "") -> "GraphSpec":
+        kinds = dict(kind=str, n_nodes=int, edges=ListOf(ListOf(int, 2)), grid_rows=int)
+        return read_fields(cls, doc, kinds, where)
 
 
 @dataclass(frozen=True)
@@ -217,13 +142,15 @@ class ScenarioConfig:
     explosion_cap: float = 1e4
 
     def __post_init__(self):
-        object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        object.__setattr__(self, "explosion_cap", _real(self.explosion_cap, "explosion_cap"))
         if self.n_steps < 1:
             raise DimensionMismatch(f"n_steps must be >= 1, got {self.n_steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # before anything builds the graph, whose edge list grows with n_nodes
+        if self.graph.n_nodes != self.params.n_nodes:
+            raise DimensionMismatch(
+                f"params have K={self.params.n_nodes} but graph has K={self.graph.n_nodes}"
+            )
         if self.weather.n_vars != self.params.n_vars:
             raise DimensionMismatch(
                 f"weather spec has M={self.weather.n_vars} but params expect "
@@ -234,7 +161,7 @@ class ScenarioConfig:
                 raise DimensionMismatch(
                     f"pulse at {pulse.start} starts after T={self.n_steps}"
                 )
-            if pulse.variable is not None and pulse.variable >= self.params.n_vars:
+            if pulse.variable is not None and not 0 <= pulse.variable < self.params.n_vars:
                 raise DimensionMismatch(
                     f"pulse variable {pulse.variable} outside 0..{self.params.n_vars - 1}"
                 )
@@ -245,32 +172,14 @@ class ScenarioConfig:
                     f"pulse nodes {pulse.nodes} outside 0..{self.graph.n_nodes - 1}"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_dict(),
-            "n_steps": self.n_steps,
-            "params": self.params.to_dict(),
-            "weather": self.weather.to_dict(),
-            "seed": self.seed,
-            "explosion_cap": self.explosion_cap,
-        }
+    to_dict = field_dict
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        """Parse a scenario config; a missing key or a wrong-typed value raises ConfigError."""
-        try:
-            return cls(
-                graph=GraphSpec.from_dict(doc["graph"]),
-                n_steps=doc["n_steps"],
-                params=ModelParams.from_dict(doc["params"]),
-                weather=WeatherSpec.from_dict(doc["weather"]),
-                seed=doc.get("seed", 0),
-                explosion_cap=doc.get("explosion_cap", 1e4),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scenario is missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"scenario: {exc}") from exc
+    def from_dict(cls, doc: dict, where: str = "scenario.") -> "ScenarioConfig":
+        """Parse a scenario config; a missing, unknown or wrong-typed key raises ConfigError."""
+        kinds = dict(graph=GraphSpec, n_steps=int, params=ModelParams, weather=WeatherSpec,
+                     seed=int, explosion_cap=float)
+        return read_fields(cls, doc, kinds, where)
 
 
 def _sample_weather(config: ScenarioConfig, rng) -> np.ndarray:
@@ -301,14 +210,11 @@ def simulate(config: ScenarioConfig) -> PanelDataset:
     """Draw a full panel from the model under the true parameters.
 
     Raises ExplosiveConfig as soon as the running mean rate passes
-    ``explosion_cap`` (a supercritical excitation spectrum never settles).
+    ``explosion_cap`` (a supercritical excitation spectrum never settles)
+    or is NaN.
     """
     graph = config.graph.build()
     params = config.params
-    if params.n_nodes != graph.n_nodes:
-        raise DimensionMismatch(
-            f"params have K={params.n_nodes} but graph has K={graph.n_nodes}"
-        )
     rng = np.random.default_rng(config.seed)
     weather = _sample_weather(config, rng)
     veff = cumulative_weather(weather, params.weather_decay, params.window)
@@ -322,12 +228,13 @@ def simulate(config: ScenarioConfig) -> PanelDataset:
     rate_total = 0.0
     for t in range(t_total):
         rates = np.maximum(base[:, t] + mat @ excite, INTENSITY_FLOOR)
-        counts[:, t] = rng.poisson(rates)
         rate_total += float(rates.sum())
-        if rate_total / (k * (t + 1)) > config.explosion_cap:
+        # checked before the draw, which raises on a NaN or overflowed rate
+        if not rate_total / (k * (t + 1)) <= config.explosion_cap:
             raise ExplosiveConfig(
                 f"running mean rate {rate_total / (k * (t + 1)):.3g} exceeded cap "
                 f"{config.explosion_cap:.3g} at step {t + 1}"
             )
+        counts[:, t] = rng.poisson(rates)
         excite = damp * (excite + params.decay * counts[:, t])
     return PanelDataset.build(weather, counts)

@@ -336,6 +336,13 @@ def bad_config(tmp_path, command, bad):
         ("report", metrics_file(lambda m: m["methods"]["graph"].update(coverage="x"))),
         ("report", metrics_file(lambda m: m["methods"]["graph"]["per_node"]["0"].update(n_cells=[]))),
         ("evaluate", {"intervals_files": [], "alpha": 1.5}),
+        # params rows and arrays: int() truncated 1.9 to node 1, float() and
+        # np.array read numeric strings, and booleans read as 1 and 0
+        ("predict", edited_params(lambda p: p.update(coupling=[[0.0, 1.9, 0.2]]))),
+        ("predict", edited_params(lambda p: p.update(coupling=[["0", "1", 0.2]]))),
+        ("predict", edited_params(lambda p: p.update(decay=[str(d) for d in p["decay"]]))),
+        ("predict", edited_params(lambda p: p["response"].update(w_out=[True, False] * 4))),
+        ("predict", edited_params(lambda p: p.update(seed="1"))),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, bad):
@@ -422,6 +429,15 @@ STAGE_NUMBERS = [
 ]
 
 
+# unknown keys at each level of the scenario document were ignored
+UNKNOWN_SCENARIO_KEYS = [
+    lambda doc: doc.update(n_step=180),
+    lambda doc: doc["graph"].update(rows=2),
+    lambda doc: doc["weather"].update(pulse=[]),
+    pulse(node=[1]),
+]
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [
@@ -450,7 +466,16 @@ STAGE_NUMBERS = [
         for command in ("simulate", "pipeline")
         for edit in BAD_NUMBERS
     ]
-    + STAGE_NUMBERS,
+    + STAGE_NUMBERS
+    + [
+        (command, scenario_edited(edit))
+        for command in ("simulate", "pipeline")
+        for edit in UNKNOWN_SCENARIO_KEYS
+    ]
+    + [
+        ("report", metrics_file(lambda m: m["methods"]["graph"].update(widths=[]))),
+        ("report", metrics_file(lambda m: m["methods"]["graph"]["per_node"]["0"].update(y=[]))),
+    ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     # a section that is not a JSON object, a scenario, params or metrics
@@ -494,6 +519,25 @@ def nonfinite_run(tmp_path, capsys, command, bad):
 def test_nonfinite_weather_spec_exits_2(tmp_path, capsys, command, edit):
     code, err = nonfinite_run(tmp_path, capsys, command, scenario_edited(edit))
     assert code == 2 and len(err) == 1 and "config error" in err[0], err
+
+
+# a five-step pulse of amplitude 1e308 overflows the cumulative weather to
+# inf, which the demo's zero response weights turn into a NaN rate:
+# rng.poisson raised ValueError out of cli_main; a pulse variable of -1 hit
+# variable M - 1 and exited 0
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (pulse(amplitude=1e308, duration=5), "ExplosiveConfig"),
+        (pulse(variable=-1), "DimensionMismatch"),
+    ],
+    ids=["nan_rate", "negative_variable"],
+)
+def test_invalid_scenario_exits_4(tmp_path, capsys, command, edit, error):
+    code, err = nonfinite_run(tmp_path, capsys, command, scenario_edited(edit))
+    assert code == 4 and len(err) == 1 and error in err[0], err
+    assert not list((tmp_path / "o").rglob("*.csv"))
 
 
 # a NaN threshold used to make every node ineligible: pipeline wrote a

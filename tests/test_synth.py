@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from scipy import stats
 
 from graphcp.errors import DimensionMismatch, ExplosiveConfig
+from graphcp.experiments import recovery_scenario, storm_scenario
 from graphcp.model import ModelParams, ResponseWeights
 from graphcp.synth import GraphSpec, ScenarioConfig, StormPulse, WeatherSpec, simulate
+from tests.test_cli import demo_scenario_doc
 from tests.support import (
     NoiseSpec,
     branching_matrix,
@@ -165,24 +168,36 @@ def test_pulse_validation():
     with pytest.raises(DimensionMismatch):
         StormPulse(start=0, duration=5, amplitude=1.0)
     params = flat_params(2)
+    # a variable of -1 used to pass and hit the last variable
+    for pulse in (StormPulse(start=99, duration=2, amplitude=1.0),
+                  StormPulse(start=1, duration=2, amplitude=1.0, variable=-1)):
+        with pytest.raises(DimensionMismatch):
+            ScenarioConfig(
+                graph=GraphSpec(kind="edges", n_nodes=2),
+                n_steps=10,
+                params=params,
+                weather=WeatherSpec(ar_coefs=(0.5,), noise_scales=(1.0,), pulses=(pulse,)),
+            )
+
+
+def test_node_count_is_checked_before_the_graph_is_built():
+    # simulate compared K only after building the graph, whose edge list a
+    # huge n_nodes made the process run out of memory on
     with pytest.raises(DimensionMismatch):
         ScenarioConfig(
-            graph=GraphSpec(kind="edges", n_nodes=2),
+            graph=GraphSpec(kind="star", n_nodes=6),
             n_steps=10,
-            params=params,
-            weather=WeatherSpec(
-                ar_coefs=(0.5,),
-                noise_scales=(1.0,),
-                pulses=(StormPulse(start=99, duration=2, amplitude=1.0),),
-            ),
+            params=flat_params(5),
+            weather=quiet_weather(),
         )
 
 
-def test_scenario_json_round_trip():
-    config = ScenarioConfig(
-        graph=GraphSpec(kind="grid", n_nodes=6, grid_rows=2),
+def grid6_scenario():
+    graph = GraphSpec(kind="grid", n_nodes=6, grid_rows=2)
+    return ScenarioConfig(
+        graph=graph,
         n_steps=50,
-        params=flat_params(6, coupling_value=0.2, edges=GraphSpec(kind="grid", n_nodes=6, grid_rows=2).build().edge_pairs()),
+        params=flat_params(6, coupling_value=0.2, edges=graph.build().edge_pairs()),
         weather=WeatherSpec(
             ar_coefs=(0.5,),
             noise_scales=(1.0,),
@@ -191,7 +206,29 @@ def test_scenario_json_round_trip():
         seed=9,
         explosion_cap=123.0,
     )
-    rebuilt = ScenarioConfig.from_dict(config.to_dict())
+
+
+def grid400_scenario():
+    from perfbench.workloads import grid400_config
+
+    return ScenarioConfig.from_dict(grid400_config(0)["scenario"])
+
+
+# the experiments' scenarios, the benchmark's grid400 and the CLI tests' demo
+@pytest.mark.parametrize(
+    "make",
+    [
+        grid6_scenario,
+        lambda: storm_scenario(101),
+        lambda: recovery_scenario(11),
+        grid400_scenario,
+        lambda: ScenarioConfig.from_dict(demo_scenario_doc()),
+    ],
+    ids=["grid6", "storm101", "recovery11", "grid400", "demo"],
+)
+def test_scenario_json_round_trip(make):
+    config = make()
+    rebuilt = ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert rebuilt.to_dict() == config.to_dict()
     np.testing.assert_array_equal(
         simulate(rebuilt).counts, simulate(config).counts
