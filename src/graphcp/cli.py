@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import read_interval_series, run_conformal
-from .errors import ConfigError, GraphCPError, ValidationError, coerce, take
+from .errors import ConfigError, GraphCPError, ListOf, ValidationError, coerce, done, take
 from .evaluate import coverage_metrics, violin_export, winner_table
 from .model import fit, init_params, intensity, load_params, save_params
 from .panel import load_graph, load_panel, read_json, split
@@ -25,7 +25,6 @@ from .pipeline import (
     conformal_settings,
     fit_settings,
     outage_threshold,
-    read_alpha,
     read_metrics,
     read_seed,
     run_pipeline,
@@ -79,8 +78,7 @@ def _cmd_simulate(args, doc: dict) -> int:
 
 def _cmd_fit(args, doc: dict) -> int:
     seed = read_seed(doc, args.seed)
-    init, opt = take(doc, "init", dict, {}), take(doc, "optimizer", dict, {})
-    init_kwargs, config = fit_settings(init, opt, ("init.", "optimizer."), 96, (seed, seed))
+    init_kwargs, config = fit_settings(doc, 96, (seed, seed))
     fractions = split_fractions(doc)
     panel, graph = _read_panel_inputs(doc, args.config)
     init = init_params(graph, panel.n_vars, **init_kwargs)
@@ -96,10 +94,7 @@ def _cmd_predict(args, doc: dict) -> int:
     panel, graph = _read_panel_inputs(doc, args.config)
     params = load_params(_path(doc, "params_file", args.config))
     if "range" in doc:
-        bounds = doc["range"]
-        if not isinstance(bounds, list) or len(bounds) != 2:
-            raise ConfigError(f"{args.config}: range must be [lo, hi], got {bounds!r}")
-        lo, hi = (coerce(int, x, "range") for x in bounds)
+        lo, hi = take(doc, "range", ListOf(int, 2))
         if not 1 <= lo <= hi <= panel.n_steps:
             raise ValidationError(
                 f"{args.config}: range [{lo}, {hi}] is not within 1..{panel.n_steps}"
@@ -111,26 +106,28 @@ def _cmd_predict(args, doc: dict) -> int:
 
 
 def _cmd_conformal(args, doc: dict) -> int:
-    method = args.method or doc.get("method")
-    if method is None:
-        raise ConfigError("no --method given and none in the config")
-    kwargs = conformal_settings(doc, "", read_seed(doc, args.seed), args.alpha)
+    methods, kwargs = conformal_settings(doc, read_seed(doc, args.seed), args.alpha)
     fractions = split_fractions(doc)
     panel, graph = _read_panel_inputs(doc, args.config)
     params = load_params(_path(doc, "params_file", args.config))
-    series = run_conformal(panel, graph, params, split(panel, fractions), method, **kwargs)
-    series.to_csv(_out_dir(args) / f"intervals_{method}.csv")
+    data_split = split(panel, fractions)
+    methods = methods if args.method is None else [args.method]
+    series = [run_conformal(panel, graph, params, data_split, m, **kwargs) for m in methods]
+    out = _out_dir(args)
+    for one in series:
+        one.to_csv(out / f"intervals_{one.method}.csv")
     return 0
 
 
 def _cmd_evaluate(args, doc: dict) -> int:
     files = take(doc, "intervals_files", list, where=f"{args.config}: ")
-    alpha = read_alpha(doc, flag=args.alpha)
+    # alpha comes from the conformal section, read whole; no forest is grown here
+    _, kwargs = conformal_settings(doc, 0, args.alpha)
     reports = {}
     for file in files:
         series = read_interval_series(coerce(str, file, "intervals_files"))
         reports[series.method] = coverage_metrics(series)
-    write_metrics(_out_dir(args) / "metrics.json", alpha, reports)
+    write_metrics(_out_dir(args) / "metrics.json", kwargs["alpha"], reports)
     return 0
 
 
@@ -150,15 +147,22 @@ def _cmd_pipeline(args, doc: dict) -> int:
     return 0
 
 
+# each subcommand and the override flags it reads
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
-    "conformal": _cmd_conformal,
-    "evaluate": _cmd_evaluate,
-    "report": _cmd_report,
-    "pipeline": _cmd_pipeline,
+    "simulate": (_cmd_simulate, ["--seed"]),
+    "fit": (_cmd_fit, ["--seed"]),
+    "predict": (_cmd_predict, []),
+    "conformal": (_cmd_conformal, ["--method", "--alpha", "--seed"]),
+    "evaluate": (_cmd_evaluate, ["--alpha"]),
+    "report": (_cmd_report, ["--alpha"]),
+    "pipeline": (_cmd_pipeline, ["--seed"]),
 }
+_FLAG_TYPES = {"--method": str, "--alpha": float, "--seed": int}
+
+# the top-level keys of a fit, predict, conformal, evaluate or report config:
+# one file can serve all five, and any other key is a config error
+_KEYS = {"weather_file", "counts_file", "graph_file", "params_file", "intervals_files",
+         "metrics_file", "seed", "split", "range", "scenario", "fit", "conformal", "evaluate"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,13 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Outage intensity model with conformal prediction intervals",
     )
     sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--method", default=None, help="interval method")
-        cmd.add_argument("--alpha", type=float, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
+        for flag in flags:
+            cmd.add_argument(flag, type=_FLAG_TYPES[flag])
     return parser
 
 
@@ -191,7 +194,10 @@ def cli_main(argv=None) -> int:
     try:
         # every stage checks its own outputs, so an overflow surfaces as one error line
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args, read_json(args.config))
+            doc = read_json(args.config)
+            if args.command not in ("simulate", "pipeline"):
+                done(dict.fromkeys(doc.keys() - _KEYS))
+            return _COMMANDS[args.command][0](args, doc)
     except ConfigError as exc:
         print(f"graphcp: config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -150,16 +150,16 @@ def done(doc: dict, where: str = "") -> None:
 def read_fields(cls, doc: dict, kinds: dict, where: str = ""):
     """The dataclass ``cls`` read from the JSON object ``doc``.
 
-    Each field is ``take``n as ``kinds[name]``.  An absent field keeps its
-    dataclass default, a field whose default is None may be null, and any
-    other key in ``doc`` raises ConfigError.
+    Each field that ``kinds`` names is ``take``n as ``kinds[name]``.  An
+    absent field keeps its dataclass default, a field whose default is None
+    may be null, and any other key in ``doc`` raises ConfigError.
     """
     doc = dict(doc)
     values = {
         field.name: take(doc, field.name, kinds[field.name], where=where,
                          nullable=field.default is None)
         for field in dataclasses.fields(cls)
-        if field.name in doc or field.default is dataclasses.MISSING
+        if field.name in kinds and (field.name in doc or field.default is dataclasses.MISSING)
     }
     done(doc, where)
     return cls(**values)

@@ -268,7 +268,8 @@ class ModelParams:
 def float_array(value) -> np.ndarray:
     """A JSON array of numbers as float64; strings, booleans, null or ragged rows raise."""
     array = np.array(value)
-    if array.dtype.kind not in "iuf":
+    items = np.array(value, dtype=object).ravel()
+    if array.dtype.kind not in "iuf" or any(isinstance(item, bool) for item in items):
         raise TypeError(f"not an array of numbers: {value!r}")
     return array.astype(np.float64)
 

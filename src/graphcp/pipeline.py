@@ -5,8 +5,10 @@ seed + 1, fit shuffling = seed + 2, forests = seed + 3), so a pipeline run
 is byte-reproducible from a single integer.
 
 This module also holds the one parser of each stage's settings and the one
-writer of each stage's files.  ``run_pipeline`` and the ``graphcp``
-subcommands call them with their own section names, defaults and seeds.
+writer of each stage's files.  Each parser reads its fixed section of the
+top-level document (``fit``, ``conformal``, ``evaluate``), so
+``run_pipeline`` and the ``graphcp`` subcommands read one layout; they pass
+their own seeds and the model window's default.
 ``run_stages`` is the in-memory stage chain that ``run_pipeline`` and the
 storm benchmark share; ``run_pipeline`` writes only after it returns, so a
 run that fails in a stage leaves no files.
@@ -14,13 +16,13 @@ run that fails in a stage leaves no files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .conformal import ForestConfig, IntervalSeries, run_conformal
-from .errors import ConfigError, NoEligibleNodes, ValidationError, coerce, done, take
+from .errors import ConfigError, NoEligibleNodes, ValidationError, coerce, done, read_fields, take
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, FitResult, fit, init_params, save_params
 from .panel import (
@@ -53,7 +55,7 @@ class PipelineResult:
 
 
 # --------------------------------------------------------------------------
-# Stage settings.  Each parser pops the keys it reads from its section.
+# Stage settings.  Each parser pops the keys it reads from the document.
 # --------------------------------------------------------------------------
 
 
@@ -65,11 +67,10 @@ def read_seed(doc: dict, flag: "int | None" = None) -> int:
     return seed
 
 
-def read_alpha(doc: dict, where: str = "", flag: "float | None" = None) -> float:
-    """``alpha`` (default 0.1), or ``flag`` (CLI ``--alpha``) when given."""
-    alpha = take(doc, "alpha", float, 0.1, where) if flag is None else flag
+def _alpha(value: float, flag: "float | None") -> float:
+    alpha = value if flag is None else flag
     if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"{where}alpha must lie in (0, 1), got {alpha}")
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     return alpha
 
 
@@ -79,61 +80,52 @@ def split_fractions(doc: dict) -> tuple:
     return tuple(coerce(float, f, "split") for f in fractions)
 
 
-def fit_settings(init: dict, opt: dict, where: tuple, window: int, seeds: tuple):
-    """``init_params`` keyword arguments and the FitConfig.
+def fit_settings(doc: dict, window: int, seeds: tuple):
+    """``init_params`` keyword arguments and the FitConfig of the ``fit`` section.
 
-    ``init`` holds ``hidden`` and ``window`` (default ``window``), ``opt``
-    the optimizer keys; both may be one section.  ``where`` gives their
-    dotted paths and ``seeds`` the init and fit seeds.
+    ``window`` is the model window's default and ``seeds`` the init and
+    fit seeds.
     """
+    section = take(doc, "fit", dict, {})
     init_kwargs = {
-        "hidden": take(init, "hidden", int, 8, where[0]),
-        "window": take(init, "window", int, window, where[0]),
+        "hidden": take(section, "hidden", int, 8, "fit."),
+        "window": take(section, "window", int, window, "fit."),
         "seed": seeds[0],
     }
     for key, low in (("hidden", 0), ("window", 1)):
         if init_kwargs[key] < low:
-            raise ConfigError(f"{where[0]}{key} must be >= {low}, got {init_kwargs[key]}")
-    config = FitConfig(
-        learning_rate=take(opt, "learning_rate", float, 1e-2, where[1]),
-        epochs=take(opt, "epochs", int, 200, where[1]),
-        batch_len=take(opt, "batch_len", int, 64, where[1]),
-        momentum=take(opt, "momentum", float, 0.0, where[1]),
-        seed=seeds[1],
-    )
-    done(init, where[0])
-    done(opt, where[1])
-    return init_kwargs, config
+            raise ConfigError(f"fit.{key} must be >= {low}, got {init_kwargs[key]}")
+    kinds = dict(learning_rate=float, epochs=int, batch_len=int, momentum=float)
+    return init_kwargs, replace(read_fields(FitConfig, section, kinds, "fit."), seed=seeds[1])
 
 
-def conformal_settings(doc: dict, where: str, seed: int, alpha=None) -> dict:
-    """``run_conformal`` keyword arguments from ``doc`` and its ``forest`` section.
+def conformal_settings(doc: dict, seed: int, alpha=None) -> tuple:
+    """The methods and the ``run_conformal`` keyword arguments of the
+    ``conformal`` section.
 
     ``seed`` is the forest seed; a given ``alpha`` overrides the config's.
     """
-    forest = take(doc, "forest", dict, {}, where)
-    at = where + "forest."
+    section, at = take(doc, "conformal", dict, {}), "conformal."
+    methods = take(section, "methods", list, ["poisson", "temporal", "graph"], at)
+    kinds = dict(n_trees=int, max_depth=int, min_leaf=int, mtry=int, bootstrap=bool)
+    forest = read_fields(ForestConfig, take(section, "forest", dict, {}, at), kinds, at + "forest.")
     kwargs = {
-        "alpha": read_alpha(doc, where, alpha),
-        "window": take(doc, "window", int, 20, where),
-        "calib_window": take(doc, "calib_window", int, None, where, nullable=True),
-        "retrain_stride": take(doc, "retrain_stride", int, 1, where, nullable=True),
-        "forest_config": ForestConfig(
-            n_trees=take(forest, "n_trees", int, 100, at),
-            max_depth=take(forest, "max_depth", int, None, at, nullable=True),
-            min_leaf=take(forest, "min_leaf", int, 5, at),
-            mtry=take(forest, "mtry", int, None, at, nullable=True),
-            bootstrap=take(forest, "bootstrap", bool, True, at),
-            seed=seed,
-        ),
+        "alpha": _alpha(take(section, "alpha", float, 0.1, at), alpha),
+        "window": take(section, "window", int, 20, at),
+        "calib_window": take(section, "calib_window", int, None, at, nullable=True),
+        "retrain_stride": take(section, "retrain_stride", int, 1, at, nullable=True),
+        "forest_config": replace(forest, seed=seed),
     }
-    done(forest, at)
-    return kwargs
+    done(section, at)
+    return methods, kwargs
 
 
-def outage_threshold(doc: dict, where: str = "") -> float:
-    """The winner table's ``outage_threshold`` (default 50)."""
-    return take(doc, "outage_threshold", float, 50.0, where)
+def outage_threshold(doc: dict) -> float:
+    """The ``evaluate`` section's ``outage_threshold`` (default 50)."""
+    section = take(doc, "evaluate", dict, {})
+    threshold = take(section, "outage_threshold", float, 50.0, "evaluate.")
+    done(section, "evaluate.")
+    return threshold
 
 
 def read_metrics(path, alpha=None) -> tuple:
@@ -144,7 +136,7 @@ def read_metrics(path, alpha=None) -> tuple:
         MethodReport.from_dict(take(methods, m, dict, where="methods."), f"methods.{m}.")
         for m in sorted(methods)
     ]
-    return read_alpha(doc, flag=alpha), reports
+    return _alpha(take(doc, "alpha", float, 0.1, f"{path}: "), alpha), reports
 
 
 # --------------------------------------------------------------------------
@@ -220,17 +212,10 @@ def run_pipeline(config: dict, out_dir) -> PipelineResult:
     seed = read_seed(config)
     scenario = ScenarioConfig.from_dict(dict(take(config, "scenario", dict), seed=seed))
     fractions = split_fractions(config)
-    fit_doc = take(config, "fit", dict, {})
-    init_kwargs, fit_config = fit_settings(
-        fit_doc, fit_doc, ("fit.", "fit."), scenario.params.window, (seed + 1, seed + 2)
-    )
-    conf_doc = take(config, "conformal", dict, {})
-    methods = take(conf_doc, "methods", list, ["poisson", "temporal", "graph"], "conformal.")
-    run_kwargs = conformal_settings(conf_doc, "conformal.", seed + 3)
-    eval_doc = take(config, "evaluate", dict, {})
-    threshold = outage_threshold(eval_doc, "evaluate.")
-    for doc, where in ((conf_doc, "conformal."), (eval_doc, "evaluate."), (config, "")):
-        done(doc, where)
+    init_kwargs, fit_config = fit_settings(config, scenario.params.window, (seed + 1, seed + 2))
+    methods, run_kwargs = conformal_settings(config, seed + 3)
+    threshold = outage_threshold(config)
+    done(config)
 
     result = run_stages(scenario, fractions, init_kwargs, fit_config, methods, run_kwargs)
     result.out_dir = out

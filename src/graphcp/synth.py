@@ -25,6 +25,9 @@ from .model import (
 )
 from .panel import PanelDataset, ServiceGraph
 
+# the largest rate numpy's Poisson sampler accepts
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 __all__ = [
     "StormPulse",
     "WeatherSpec",
@@ -186,6 +189,8 @@ def _sample_weather(config: ScenarioConfig, rng) -> np.ndarray:
     k = config.graph.n_nodes
     t_total = config.n_steps
     m_total = config.weather.n_vars
+    if k * t_total * m_total * 8 >= 2**63:
+        raise DimensionMismatch(f"a ({k}, {t_total}, {m_total}) weather tensor is too large")
     noise = rng.standard_normal((k, t_total, m_total))
     weather = np.empty((k, t_total, m_total))
     for m in range(m_total):
@@ -211,7 +216,7 @@ def simulate(config: ScenarioConfig) -> PanelDataset:
 
     Raises ExplosiveConfig as soon as the running mean rate passes
     ``explosion_cap`` (a supercritical excitation spectrum never settles)
-    or is NaN.
+    or is NaN, or a rate reaches the Poisson sampler's limit.
     """
     graph = config.graph.build()
     params = config.params
@@ -229,12 +234,14 @@ def simulate(config: ScenarioConfig) -> PanelDataset:
     for t in range(t_total):
         rates = np.maximum(base[:, t] + mat @ excite, INTENSITY_FLOOR)
         rate_total += float(rates.sum())
-        # checked before the draw, which raises on a NaN or overflowed rate
+        # checked before the draw, which raises on a NaN, overflowed or too large rate
         if not rate_total / (k * (t + 1)) <= config.explosion_cap:
             raise ExplosiveConfig(
                 f"running mean rate {rate_total / (k * (t + 1)):.3g} exceeded cap "
                 f"{config.explosion_cap:.3g} at step {t + 1}"
             )
+        if rates.max() >= _POISSON_MAX:
+            raise ExplosiveConfig(f"rate {rates.max():.3g} past the Poisson limit at step {t + 1}")
         counts[:, t] = rng.poisson(rates)
         excite = damp * (excite + params.decay * counts[:, t])
     return PanelDataset.build(weather, counts)

@@ -118,7 +118,7 @@ def test_conformal_unknown_method_exits_2(tmp_path, demo_data=None):
         "graph_file": str(data_dir / "graph.csv"),
         "weather_file": str(data_dir / "weather.csv"),
         "counts_file": str(data_dir / "counts.csv"),
-        "optimizer": {"epochs": 1},
+        "fit": {"epochs": 1},
     }
     fit_config = write_json(tmp_path / "fit.json", fit_doc)
     assert cli_main(["fit", "--config", fit_config, "--out", str(tmp_path / "model")]) == 0
@@ -135,63 +135,52 @@ def test_conformal_unknown_method_exits_2(tmp_path, demo_data=None):
 
 
 def test_cli_stage_chain(tmp_path):
-    data_dir = tmp_path / "data"
-    sim_config = write_json(tmp_path / "sim.json", demo_scenario_doc(seed=4))
-    assert cli_main(["simulate", "--config", sim_config, "--out", str(data_dir)]) == 0
+    # one config file serves every subcommand but pipeline
+    data_dir, iv = tmp_path / "data", tmp_path / "iv"
+    config = write_json(
+        tmp_path / "config.json",
+        {
+            "scenario": demo_scenario_doc(seed=4),
+            "graph_file": str(data_dir / "graph.csv"),
+            "weather_file": str(data_dir / "weather.csv"),
+            "counts_file": str(data_dir / "counts.csv"),
+            "params_file": str(tmp_path / "model" / "params.json"),
+            "intervals_files": [str(iv / "intervals_poisson.csv"), str(iv / "intervals_graph.csv")],
+            "metrics_file": str(tmp_path / "m" / "metrics.json"),
+            "split": [1 / 3, 1 / 3, 1 / 3],
+            "fit": {"hidden": 3, "window": 6, "epochs": 3, "learning_rate": 0.02, "batch_len": 30},
+            "conformal": {
+                "methods": ["poisson", "graph"],
+                "alpha": 0.1,
+                "window": 4,
+                "retrain_stride": 30,
+                "forest": {"n_trees": 5, "min_leaf": 5},
+            },
+            "evaluate": {"outage_threshold": 0.0},
+        },
+    )
+    assert cli_main(["simulate", "--config", config, "--out", str(data_dir)]) == 0
     meta = json.loads((data_dir / "meta.json").read_text())
     assert meta["n_nodes"] == 5
 
-    io_doc = {
-        "graph_file": str(data_dir / "graph.csv"),
-        "weather_file": str(data_dir / "weather.csv"),
-        "counts_file": str(data_dir / "counts.csv"),
-        "split": [1 / 3, 1 / 3, 1 / 3],
-    }
-    fit_config = write_json(
-        tmp_path / "fit.json",
-        dict(io_doc, init={"hidden": 3, "window": 6},
-             optimizer={"epochs": 3, "learning_rate": 0.02, "batch_len": 30}),
-    )
-    assert cli_main(["fit", "--config", fit_config, "--out", str(tmp_path / "model")]) == 0
+    assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "model")]) == 0
     params = load_params(tmp_path / "model" / "params.json")
     assert params.n_nodes == 5
 
-    conf_doc = dict(
-        io_doc,
-        params_file=str(tmp_path / "model" / "params.json"),
-        window=4,
-        retrain_stride=30,
-        forest={"n_trees": 5, "min_leaf": 5},
-    )
-    conf_config = write_json(tmp_path / "conf.json", conf_doc)
-    for method in ("poisson", "graph"):
-        code = cli_main(
-            ["conformal", "--config", conf_config, "--out", str(tmp_path / "iv"),
-             "--method", method, "--seed", "9"]
-        )
-        assert code == 0
-    series = read_interval_series(tmp_path / "iv" / "intervals_graph.csv")
-    assert len(series) == 5 * 60
+    assert cli_main(["predict", "--config", config, "--out", str(tmp_path / "p")]) == 0
+    assert len((tmp_path / "p" / "predictions.csv").read_text().splitlines()) == 1 + 5 * 60
 
-    eval_config = write_json(
-        tmp_path / "eval.json",
-        {
-            "intervals_files": [
-                str(tmp_path / "iv" / "intervals_poisson.csv"),
-                str(tmp_path / "iv" / "intervals_graph.csv"),
-            ],
-            "alpha": 0.1,
-        },
-    )
-    assert cli_main(["evaluate", "--config", eval_config, "--out", str(tmp_path / "m")]) == 0
+    # without --method, conformal runs each of conformal.methods
+    assert cli_main(["conformal", "--config", config, "--out", str(iv), "--seed", "9"]) == 0
+    series = read_interval_series(iv / "intervals_graph.csv")
+    assert len(series) == 5 * 60
+    assert sorted(p.name for p in iv.iterdir()) == ["intervals_graph.csv", "intervals_poisson.csv"]
+
+    assert cli_main(["evaluate", "--config", config, "--out", str(tmp_path / "m")]) == 0
     metrics = json.loads((tmp_path / "m" / "metrics.json").read_text())
     assert set(metrics["methods"]) == {"poisson", "graph"}
 
-    report_config = write_json(
-        tmp_path / "report.json",
-        {"metrics_file": str(tmp_path / "m" / "metrics.json"), "outage_threshold": 0.0},
-    )
-    assert cli_main(["report", "--config", report_config, "--out", str(tmp_path / "r")]) == 0
+    assert cli_main(["report", "--config", config, "--out", str(tmp_path / "r")]) == 0
     winner_lines = (tmp_path / "r" / "winner.csv").read_text().splitlines()
     assert winner_lines[0] == "method,win_fraction,wins,n_eligible"
     assert len(winner_lines) == 3
@@ -203,14 +192,14 @@ def fitted_model(tmp_path):
     """Simulate demo data and fit one epoch; returns the predict config's inputs."""
     data_dir = tmp_path / "data"
     sim_config = write_json(tmp_path / "sim.json", demo_scenario_doc(seed=6))
-    cli_main(["simulate", "--config", sim_config, "--out", str(data_dir)])
+    assert cli_main(["simulate", "--config", sim_config, "--out", str(data_dir)]) == 0
     inputs = {
         "graph_file": str(data_dir / "graph.csv"),
         "weather_file": str(data_dir / "weather.csv"),
         "counts_file": str(data_dir / "counts.csv"),
     }
-    fit_config = write_json(tmp_path / "fit.json", {**inputs, "optimizer": {"epochs": 1}})
-    cli_main(["fit", "--config", fit_config, "--out", str(tmp_path / "model")])
+    fit_config = write_json(tmp_path / "fit.json", {**inputs, "fit": {"epochs": 1}})
+    assert cli_main(["fit", "--config", fit_config, "--out", str(tmp_path / "model")]) == 0
     return {**inputs, "params_file": str(tmp_path / "model" / "params.json")}
 
 
@@ -274,7 +263,7 @@ def test_conformal_nonfinite_bounds_exit_4(tmp_path, capsys, method):
 def test_fit_zero_batch_len_exits_2(tmp_path):
     inputs = fitted_model(tmp_path)
     del inputs["params_file"]
-    config = write_json(tmp_path / "fit0.json", {**inputs, "optimizer": {"batch_len": 0}})
+    config = write_json(tmp_path / "fit0.json", {**inputs, "fit": {"batch_len": 0}})
     assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "m0")]) == 2
 
 
@@ -315,15 +304,15 @@ def bad_config(tmp_path, command, bad):
 @pytest.mark.parametrize(
     "command, bad",
     [
-        ("fit", {"optimizer": {"epochs": "ten"}}),
-        ("conformal", {"method": "poisson", "window": "x"}),
+        ("fit", {"fit": {"epochs": "ten"}}),
+        ("conformal", {"conformal": {"methods": ["poisson"], "window": "x"}}),
         ("predict", {"range": ["five", 8]}),
         ("pipeline", {"fit": {"epochs": "ten"}}),
-        ("conformal", {"method": "poisson", "calib_window": "x"}),
-        ("conformal", {"method": "poisson", "retrain_stride": "x"}),
-        ("conformal", {"method": "poisson", "forest": {"max_depth": "x"}}),
-        ("conformal", {"method": "poisson", "forest": {"mtry": "x"}}),
-        ("conformal", {"method": "poisson", "forest": {"bootstrap": "false"}}),
+        ("conformal", {"conformal": {"methods": ["poisson"], "calib_window": "x"}}),
+        ("conformal", {"conformal": {"methods": ["poisson"], "retrain_stride": "x"}}),
+        ("conformal", {"conformal": {"methods": ["poisson"], "forest": {"max_depth": "x"}}}),
+        ("conformal", {"conformal": {"methods": ["poisson"], "forest": {"mtry": "x"}}}),
+        ("conformal", {"conformal": {"methods": ["poisson"], "forest": {"bootstrap": "false"}}}),
         ("fit", {"split": 5}),
         ("fit", {"split": ["a", 0.5, 0.25]}),
         ("evaluate", {"intervals_files": 5}),
@@ -335,7 +324,7 @@ def bad_config(tmp_path, command, bad):
         ("predict", edited_params(lambda p: p["response"].update(b_out=[1.0]))),
         ("report", metrics_file(lambda m: m["methods"]["graph"].update(coverage="x"))),
         ("report", metrics_file(lambda m: m["methods"]["graph"]["per_node"]["0"].update(n_cells=[]))),
-        ("evaluate", {"intervals_files": [], "alpha": 1.5}),
+        ("evaluate", {"intervals_files": [], "conformal": {"alpha": 1.5}}),
         # params rows and arrays: int() truncated 1.9 to node 1, float() and
         # np.array read numeric strings, and booleans read as 1 and 0
         ("predict", edited_params(lambda p: p.update(coupling=[[0.0, 1.9, 0.2]]))),
@@ -343,6 +332,8 @@ def bad_config(tmp_path, command, bad):
         ("predict", edited_params(lambda p: p.update(decay=[str(d) for d in p["decay"]]))),
         ("predict", edited_params(lambda p: p["response"].update(w_out=[True, False] * 4))),
         ("predict", edited_params(lambda p: p.update(seed="1"))),
+        # a boolean among numbers read as 1.0
+        ("predict", edited_params(lambda p: p["response"]["w_out"].__setitem__(0, True))),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, bad):
@@ -410,17 +401,17 @@ BAD_NUMBERS = [
 # stage-section numbers that int() and float() accept but that are not JSON
 # integers or numbers; a fraction used to be truncated (1.9 epochs ran 1)
 STAGE_NUMBERS = [
-    ("fit", {"optimizer": {"epochs": "10"}}),
-    ("fit", {"optimizer": {"epochs": 1.9}}),
-    ("fit", {"optimizer": {"learning_rate": "0.01"}}),
-    ("fit", {"init": {"hidden": 2.0}}),
+    ("fit", {"fit": {"epochs": "10"}}),
+    ("fit", {"fit": {"epochs": 1.9}}),
+    ("fit", {"fit": {"learning_rate": "0.01"}}),
+    ("fit", {"fit": {"hidden": 2.0}}),
     ("fit", {"seed": True}),
     ("fit", {"split": ["0.4", 0.3, 0.3]}),
     ("pipeline", {"seed": "4"}),
     ("pipeline", {"seed": True}),
-    ("conformal", {"method": "poisson", "alpha": "0.1"}),
-    ("conformal", {"method": "poisson", "window": 4.5}),
-    ("conformal", {"method": "poisson", "forest": {"n_trees": True}}),
+    ("conformal", {"conformal": {"methods": ["poisson"], "alpha": "0.1"}}),
+    ("conformal", {"conformal": {"methods": ["poisson"], "window": 4.5}}),
+    ("conformal", {"conformal": {"methods": ["poisson"], "forest": {"n_trees": True}}}),
     ("predict", {"range": [5.0, 8]}),
     ("predict", edited_params(lambda p: p.update(window=6.5))),
     ("predict", edited_params(lambda p: p["response"].update(b_out="0.1"))),
@@ -441,14 +432,14 @@ UNKNOWN_SCENARIO_KEYS = [
 @pytest.mark.parametrize(
     "command, bad",
     [
-        ("fit", {"optimizer": 5}),
-        ("fit", {"init": [1]}),
+        ("fit", {"fit": 5}),
+        ("fit", {"fit": [1]}),
         ("simulate", {"scenario": scenario_without("n_steps")}),
         ("pipeline", {"fit": 5}),
         ("pipeline", {"conformal": [1]}),
-        ("fit", {"optimizer": {"epoch": 1}}),
-        ("fit", {"init": {"hiden": 3}}),
-        ("conformal", {"method": "poisson", "forest": {"n_tree": 5}}),
+        ("fit", {"fit": {"epoch": 1}}),
+        ("fit", {"fit": {"hiden": 3}}),
+        ("conformal", {"conformal": {"methods": ["poisson"], "forest": {"n_tree": 5}}}),
         ("pipeline", {"fit": {"epoch": 1}}),
         ("pipeline", {"conformal": {"method": ["graph"]}}),
         ("pipeline", {"conformal": {"forest": {"bootstrap": True, "depth": 3}}}),
@@ -475,6 +466,9 @@ UNKNOWN_SCENARIO_KEYS = [
     + [
         ("report", metrics_file(lambda m: m["methods"]["graph"].update(widths=[]))),
         ("report", metrics_file(lambda m: m["methods"]["graph"]["per_node"]["0"].update(y=[]))),
+        # the stage seeds come from the top level, never from a section
+        ("fit", {"fit": {"epochs": 1, "seed": 1}}),
+        ("evaluate", {"intervals_files": [], "conformal": {"forest": {"seed": 1}}}),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
@@ -488,6 +482,73 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+# the subcommands' own layouts (``init`` and ``optimizer``, top-level
+# conformal keys and ``method``, a top-level ``outage_threshold``) and
+# misspelled top-level keys used to run, the misspellings on defaults
+@pytest.mark.parametrize(
+    "command, flags, bad, key",
+    [
+        pytest.param("fit", [], {"optimizer": {"epochs": 1}}, "optimizer", id="fit-optimizer"),
+        pytest.param("fit", [], {"init": {"hidden": 2}}, "init", id="fit-init"),
+        pytest.param("fit", [], {"optimiser": {"epochs": 1}}, "optimiser", id="fit-optimiser"),
+        pytest.param("conformal", [], {"method": "poisson"}, "method", id="conformal-method"),
+        pytest.param("conformal", ["--method", "poisson"], {"window": 4}, "window",
+                     id="conformal-window"),
+        pytest.param("conformal", ["--method", "poisson"], {"forest": {"n_trees": 5}}, "forest",
+                     id="conformal-forest"),
+        pytest.param("conformal", ["--method", "poisson"], {"alpha": 0.2}, "alpha",
+                     id="conformal-alpha"),
+        pytest.param("conformal", ["--method", "poisson"], {"calib_windw": 30}, "calib_windw",
+                     id="conformal-calib_windw"),
+        pytest.param("predict", [], {"rnage": [5, 8]}, "rnage", id="predict-rnage"),
+        pytest.param("evaluate", [], {"intervals_files": [], "alpha": 0.2}, "alpha",
+                     id="evaluate-alpha"),
+        pytest.param(
+            "report",
+            [],
+            lambda doc, tmp: {**metrics_file(lambda m: None)(doc, tmp), "outage_threshold": 0.0},
+            "outage_threshold",
+            id="report-outage_threshold",
+        ),
+    ],
+)
+def test_unknown_top_level_key_exits_2(tmp_path, capsys, command, flags, bad, key):
+    config = bad_config(tmp_path, command, bad)
+    capsys.readouterr()
+    code = cli_main([command, "--config", config, "--out", str(tmp_path / "o")] + flags)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and f"unknown key(s) ['{key}']" in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
+# every subcommand used to accept --method, --alpha and --seed and ignore
+# those it does not read
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--alpha", "0.5"),
+        ("simulate", "--method", "bogus"),
+        ("fit", "--alpha", "0.5"),
+        ("predict", "--method", "graph"),
+        ("evaluate", "--seed", "3"),
+        ("report", "--method", "graph"),
+        ("pipeline", "--alpha", "0.5"),
+    ],
+)
+def test_unread_flag_exits_2(tmp_path, capsys, command, flag, value):
+    extra = {
+        "simulate": {"scenario": demo_scenario_doc()},
+        "evaluate": {"intervals_files": []},
+        "report": metrics_file(lambda m: None),
+    }
+    config = bad_config(tmp_path, command, extra.get(command, {}))
+    capsys.readouterr()
+    code = cli_main([command, "--config", config, "--out", str(tmp_path / "o"), flag, value])
+    assert code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def nonfinite_run(tmp_path, capsys, command, bad):
@@ -521,18 +582,27 @@ def test_nonfinite_weather_spec_exits_2(tmp_path, capsys, command, edit):
     assert code == 2 and len(err) == 1 and "config error" in err[0], err
 
 
+def huge_rates(doc):
+    doc["explosion_cap"] = 1e300
+    doc["params"]["scale"] = [1e30] * len(doc["params"]["scale"])
+
+
 # a five-step pulse of amplitude 1e308 overflows the cumulative weather to
 # inf, which the demo's zero response weights turn into a NaN rate:
 # rng.poisson raised ValueError out of cli_main; a pulse variable of -1 hit
-# variable M - 1 and exited 0
+# variable M - 1 and exited 0; rates above the Poisson sampler's limit
+# (about 9.2e18) under a large cap raised "lam value too large", and a
+# weather tensor of 2^63 bytes or more "array is too big"
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
 @pytest.mark.parametrize(
     "edit, error",
     [
         (pulse(amplitude=1e308, duration=5), "ExplosiveConfig"),
         (pulse(variable=-1), "DimensionMismatch"),
+        (huge_rates, "ExplosiveConfig"),
+        (lambda doc: doc.update(n_steps=2**62), "DimensionMismatch"),
     ],
-    ids=["nan_rate", "negative_variable"],
+    ids=["nan_rate", "negative_variable", "poisson_limit", "huge_weather"],
 )
 def test_invalid_scenario_exits_4(tmp_path, capsys, command, edit, error):
     code, err = nonfinite_run(tmp_path, capsys, command, scenario_edited(edit))
@@ -548,7 +618,7 @@ def test_invalid_scenario_exits_4(tmp_path, capsys, command, edit, error):
         ("pipeline", {"evaluate": {"outage_threshold": math.nan}}),
         ("pipeline", {"evaluate": {"outage_threshold": math.inf}}),
         ("report", lambda doc, tmp: {**metrics_file(lambda m: None)(doc, tmp),
-                                     "outage_threshold": math.nan}),
+                                     "evaluate": {"outage_threshold": math.nan}}),
     ],
 )
 def test_nonfinite_outage_threshold_exits_2(tmp_path, capsys, command, bad):
@@ -562,7 +632,7 @@ def test_nonfinite_outage_threshold_exits_2(tmp_path, capsys, command, bad):
 @pytest.mark.parametrize(
     "command, bad",
     [
-        ("fit", {"optimizer": {"epochs": 1, "learning_rate": math.inf}}),
+        ("fit", {"fit": {"epochs": 1, "learning_rate": math.inf}}),
         ("pipeline", {"fit": dict(pipeline_doc()["fit"], learning_rate=math.inf)}),
     ],
 )
@@ -615,7 +685,10 @@ def test_coverage_metrics_recomputed_from_csv_bit_exact(tmp_path):
 
 # -------------------------------------------------------------- mutated configs
 
-MUTANTS = ["x", -1, 1.5, [], {}, None, True]
+# JSON writes the non-finite floats as NaN, Infinity and -Infinity, which
+# graphcp's reader accepts; no mutant is an integer that could size an
+# allocation or a loop
+MUTANTS = ["x", -1, 1.5, [], {}, None, True, math.nan, math.inf, -math.inf, 1e308, -0.0, 5e-324]
 
 
 @pytest.fixture(scope="module")
@@ -628,54 +701,61 @@ def valid_configs(tmp_path_factory):
     conformal = {
         **inputs,
         **split,
-        "method": "vanilla",
-        "alpha": 0.1,
-        "window": 4,
-        "calib_window": 30,
-        "retrain_stride": 20,
-        "forest": {"n_trees": 2, "max_depth": 3, "min_leaf": 5, "mtry": 1, "bootstrap": True},
+        "conformal": {
+            "methods": ["poisson", "vanilla"],
+            "alpha": 0.1,
+            "window": 4,
+            "calib_window": 30,
+            "retrain_stride": 20,
+            "forest": {"n_trees": 2, "max_depth": 3, "min_leaf": 5, "mtry": 1, "bootstrap": True},
+        },
     }
-    files = []
-    for method in ("poisson", "vanilla"):
-        out = tmp / "iv"
-        config = write_json(tmp / "conf.json", dict(conformal, method=method))
-        assert cli_main(["conformal", "--config", config, "--out", str(out)]) == 0
-        files.append(str(out / f"intervals_{method}.csv"))
-    evaluate = {"intervals_files": files, "alpha": 0.1}
+    config = write_json(tmp / "conf.json", conformal)
+    assert cli_main(["conformal", "--config", config, "--out", str(tmp / "iv")]) == 0
+    files = [str(tmp / "iv" / f"intervals_{m}.csv") for m in ("poisson", "vanilla")]
+    evaluate = {"intervals_files": files, "conformal": {"alpha": 0.1}}
     config = write_json(tmp / "eval.json", evaluate)
     assert cli_main(["evaluate", "--config", config, "--out", str(tmp / "m")]) == 0
+    conformal["conformal"]["methods"] = ["vanilla"]
     pipeline = pipeline_doc(seed=2)
     pipeline["fit"]["epochs"] = 1
     pipeline["conformal"]["methods"] = ["poisson", "vanilla"]
     pipeline["conformal"]["forest"] = {"n_trees": 2, "max_depth": 3, "mtry": 1, "bootstrap": False}
     return {
-        "simulate": {"scenario": demo_scenario_doc()},
+        # a bare scenario document, mutated here only: pipeline reads its
+        # scenario through the same ScenarioConfig.from_dict
+        "simulate": scenario_edited(lambda doc: None)["scenario"],
         "fit": {
             **data,
             **split,
-            "init": {"hidden": 2, "window": 6},
-            "optimizer": {"epochs": 1, "learning_rate": 0.01, "batch_len": 30, "momentum": 0.5},
+            "fit": {"hidden": 2, "window": 6, "epochs": 1, "learning_rate": 0.01,
+                    "batch_len": 30, "momentum": 0.5},
         },
         "predict": {**inputs, **split, "range": [5, 8]},
         "conformal": conformal,
         "evaluate": evaluate,
-        "report": {"metrics_file": str(tmp / "m" / "metrics.json"), "outage_threshold": 0.0},
+        "report": {"metrics_file": str(tmp / "m" / "metrics.json"),
+                   "evaluate": {"outage_threshold": 0.0}},
         "pipeline": pipeline,
     }
 
 
 def sections(doc, path=()):
-    """The path of every JSON object in ``doc`` except the scenario document."""
+    """The path of every JSON object in ``doc``, in lists too, except a
+    pipeline's scenario document."""
     yield path
     for key, value in doc.items():
         if isinstance(value, dict) and key != "scenario":
             yield from sections(value, path + (key,))
+        for i, item in enumerate(value if isinstance(value, list) else []):
+            if isinstance(item, dict):
+                yield from sections(item, path + (key, i))
 
 
-# the cases number about 540, so hypothesis runs out of new ones and stops
-# after trying each (about 5 s)
+# the cases number about 1,520, so hypothesis runs out of new ones and stops
+# after trying each (8-12 s on 2 CPUs)
 @settings(
-    max_examples=1000,
+    max_examples=2000,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -699,5 +779,9 @@ def test_mutated_config_exits_cleanly(valid_configs, tmp_path_factory, capsys, d
     config = write_json(tmp / "config.json", doc)
     capsys.readouterr()
     code = cli_main([command, "--config", config, "--out", str(tmp / "out")])
+    err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), (command, path, key, section.get(key))
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code != 0), (command, path, key, section.get(key), err)
+    for out in (tmp / "out").rglob("*.csv"):
+        assert "nan" not in out.read_text(), (command, path, key, section.get(key), out)
