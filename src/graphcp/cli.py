@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Subcommands: simulate, fit, predict, conformal, evaluate, report, pipeline.
-Each reads a JSON config plus CSV inputs and writes CSV/JSON outputs.
+Each reads a JSON config (one pipeline document, with the file keys added,
+serves them all) plus CSV inputs and writes CSV/JSON outputs.
 Exit codes: 0 ok, 2 config problem, 3 I/O problem, 4 validation failure.
 Set GRAPH_CP_LOG=debug|info|warning for verbosity.
 """
@@ -12,29 +13,31 @@ import argparse
 import logging
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .conformal import read_interval_series, run_conformal
 from .errors import ConfigError, GraphCPError, ListOf, ValidationError, coerce, done, take
-from .evaluate import coverage_metrics, violin_export, winner_table
-from .model import fit, init_params, intensity, load_params, save_params
+from .evaluate import coverage_metrics
+from .model import fit, init_params, intensity, load_params
 from .panel import load_graph, load_panel, read_json, split
 from .pipeline import (
     conformal_settings,
     fit_settings,
     outage_threshold,
     read_metrics,
+    read_scenario,
     read_seed,
     run_pipeline,
     split_fractions,
     write_data,
+    write_intervals,
     write_metrics,
+    write_params,
     write_predictions,
-    write_winner,
+    write_report,
 )
-from .synth import ScenarioConfig, simulate
+from .synth import simulate
 
 log = logging.getLogger("graphcp")
 
@@ -46,12 +49,6 @@ _EXIT_VALIDATION = 4
 def _setup_logging() -> None:
     level = os.environ.get("GRAPH_CP_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _path(doc: dict, key: str, where: str) -> str:
@@ -66,27 +63,23 @@ def _read_panel_inputs(doc: dict, where: str):
 
 
 def _cmd_simulate(args, doc: dict) -> int:
-    scenario_doc = take(doc, "scenario", dict) if "scenario" in doc else doc
-    if args.seed is not None:
-        scenario_doc["seed"] = args.seed
-    scenario = ScenarioConfig.from_dict(scenario_doc)
+    scenario = read_scenario(doc, read_seed(doc))
     panel = simulate(scenario)
-    write_data(_out_dir(args), panel, scenario.graph.build(), scenario.seed)
+    write_data(args.out, scenario, panel, scenario.graph.build())
     log.info("simulated panel K=%d T=%d M=%d", panel.n_nodes, panel.n_steps, panel.n_vars)
     return 0
 
 
 def _cmd_fit(args, doc: dict) -> int:
-    seed = read_seed(doc, args.seed)
-    init_kwargs, config = fit_settings(doc, 96, (seed, seed))
+    init_kwargs, config = fit_settings(doc, read_seed(doc))
     fractions = split_fractions(doc)
     panel, graph = _read_panel_inputs(doc, args.config)
     init = init_params(graph, panel.n_vars, **init_kwargs)
     result = fit(panel, graph, init, config, time_range=split(panel, fractions).train)
-    save_params(result.params, _out_dir(args) / "params.json")
-    log.info(
-        "fit done: ll %.6f -> %.6f", result.checkpoints[0], result.checkpoints[-1]
-    )
+    write_params(args.out, result.params)
+    log.info("fit done: ll %.6f -> %.6f, n_retreats %d, learning_rate_final %r",
+             result.checkpoints[0], result.checkpoints[-1], result.n_retreats,
+             result.learning_rate_final)
     return 0
 
 
@@ -101,21 +94,19 @@ def _cmd_predict(args, doc: dict) -> int:
             )
     else:
         lo, hi = split(panel, split_fractions(doc)).test
-    write_predictions(_out_dir(args) / "predictions.csv", intensity(panel, graph, params), lo, hi)
+    write_predictions(args.out, intensity(panel, graph, params), lo, hi)
     return 0
 
 
 def _cmd_conformal(args, doc: dict) -> int:
-    methods, kwargs = conformal_settings(doc, read_seed(doc, args.seed), args.alpha)
+    methods, kwargs = conformal_settings(doc, read_seed(doc), args.alpha)
     fractions = split_fractions(doc)
     panel, graph = _read_panel_inputs(doc, args.config)
     params = load_params(_path(doc, "params_file", args.config))
     data_split = split(panel, fractions)
     methods = methods if args.method is None else [args.method]
     series = [run_conformal(panel, graph, params, data_split, m, **kwargs) for m in methods]
-    out = _out_dir(args)
-    for one in series:
-        one.to_csv(out / f"intervals_{one.method}.csv")
+    write_intervals(args.out, series)
     return 0
 
 
@@ -127,23 +118,19 @@ def _cmd_evaluate(args, doc: dict) -> int:
     for file in files:
         series = read_interval_series(coerce(str, file, "intervals_files"))
         reports[series.method] = coverage_metrics(series)
-    write_metrics(_out_dir(args) / "metrics.json", kwargs["alpha"], reports)
+    write_metrics(args.out, kwargs["alpha"], reports)
     return 0
 
 
 def _cmd_report(args, doc: dict) -> int:
     threshold = outage_threshold(doc)
     alpha, reports = read_metrics(_path(doc, "metrics_file", args.config), args.alpha)
-    out = _out_dir(args)
-    violin_export(reports, out / "violin.csv")
-    write_winner(out / "winner.csv", winner_table(reports, alpha=alpha, outage_threshold=threshold))
+    write_report(args.out, alpha, reports, threshold)
     return 0
 
 
 def _cmd_pipeline(args, doc: dict) -> int:
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    run_pipeline(doc, _out_dir(args))
+    run_pipeline(doc, args.out)
     return 0
 
 
@@ -159,8 +146,8 @@ _COMMANDS = {
 }
 _FLAG_TYPES = {"--method": str, "--alpha": float, "--seed": int}
 
-# the top-level keys of a fit, predict, conformal, evaluate or report config:
-# one file can serve all five, and any other key is a config error
+# the top-level keys of every subcommand's config but pipeline's: one file
+# can serve them all, and any other key is a config error
 _KEYS = {"weather_file", "counts_file", "graph_file", "params_file", "intervals_files",
          "metrics_file", "seed", "split", "range", "scenario", "fit", "conformal", "evaluate"}
 
@@ -195,7 +182,9 @@ def cli_main(argv=None) -> int:
         # every stage checks its own outputs, so an overflow surfaces as one error line
         with np.errstate(over="ignore", invalid="ignore"):
             doc = read_json(args.config)
-            if args.command not in ("simulate", "pipeline"):
+            if getattr(args, "seed", None) is not None:
+                doc["seed"] = args.seed
+            if args.command != "pipeline":
                 done(dict.fromkeys(doc.keys() - _KEYS))
             return _COMMANDS[args.command][0](args, doc)
     except ConfigError as exc:

@@ -177,10 +177,12 @@ def poisson_interval(rate, alpha: float):
 
 
 def _poisson_ppf(q: float, rate: np.ndarray):
-    """``scipy.stats.poisson.ppf(q, rate)`` for q in (0, 1), by the steps of
+    """``scipy.stats.poisson.ppf(q, rate)`` for q in (0, 1], by the steps of
     its ``poisson._ppf``; this spares every graphcp import the load of
     ``scipy.stats``.  A negative or nan rate gives nan, as ``pdtrik`` does.
     """
+    if q == 1.0:  # 1 - alpha / 2 for an alpha below about 1.1e-16; pdtrik gives nan
+        return np.where(rate >= 0, np.inf, np.nan)[()]
     vals = np.ceil(pdtrik(q, rate))
     low = np.maximum(vals - 1, 0)
     return np.where(pdtr(low, rate) >= q, low, vals)[()]
@@ -238,8 +240,8 @@ def run_conformal(
     after the step's intervals are emitted.  Forest methods refit every
     ``retrain_stride`` steps (None: fit once), each node and round with a
     seed derived from ``forest_config.seed``.  A NaN or overflowed
-    bound raises ValidationError; only vanilla's infinite half-width may be
-    infinite.
+    bound raises ValidationError; only vanilla's infinite half-width and an
+    upper bound at level 1 may be infinite.
     """
     if method not in METHODS:
         raise UnknownMethod(f"method {method!r} not in {METHODS}")
@@ -295,8 +297,10 @@ def run_conformal(
         y_true=counts[:, test_lo - 1 : test_hi].T.ravel().astype(np.float64),
     )
     # vanilla's half-width is infinite in every cell when its rank exceeds
-    # the calib_window residuals; any other non-finite bound is an overflow
-    finite = np.isfinite(lower) & np.isfinite(upper)
+    # the calib_window residuals, and an upper bound may be infinite where
+    # 1 - alpha / 2 rounds to 1; any other non-finite bound is an overflow
+    certain = 1.0 - alpha / 2.0 == 1.0
+    finite = np.isfinite(lower) & (np.isfinite(upper) | (certain & (upper == np.inf)))
     if not finite.all() and not (
         method == "vanilla" and _vanilla_rank(alpha, calib_window) > calib_window
     ):

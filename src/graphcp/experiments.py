@@ -23,7 +23,6 @@ import numpy as np
 
 from .model import FitConfig, ModelParams, ResponseWeights, fit, init_params
 from .pipeline import run_stages
-from .qrf import ForestConfig
 from .synth import GraphSpec, ScenarioConfig, StormPulse, WeatherSpec, simulate
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "run_recovery",
     "RecoveryResult",
     "storm_scenario",
+    "storm_config",
     "run_storm_benchmark",
     "StormBenchmarkResult",
 ]
@@ -190,6 +190,19 @@ class StormBenchmarkResult:
     elapsed_s: float
 
 
+def storm_config(seed: int, alpha: float, methods, window: int, calib_window, retrain_stride):
+    """The pipeline document of one storm-benchmark seed (equal-thirds split)."""
+    return {
+        "seed": seed,
+        "scenario": storm_scenario(seed).to_dict(),
+        "fit": {"hidden": _STORM_HIDDEN, "window": 24, "learning_rate": 2e-2, "epochs": 40,
+                "batch_len": 250, "momentum": 0.9},
+        "conformal": {"methods": list(methods), "alpha": alpha, "window": window,
+                      "calib_window": calib_window, "retrain_stride": retrain_stride,
+                      "forest": {"n_trees": 15, "min_leaf": 30}},
+    }
+
+
 def run_storm_benchmark(
     seed: int,
     alpha: float = 0.1,
@@ -200,18 +213,5 @@ def run_storm_benchmark(
 ) -> StormBenchmarkResult:
     """One seed of the storm comparison; returns per-method reports."""
     start = time.time()
-    result = run_stages(
-        storm_scenario(seed),
-        (1 / 3, 1 / 3, 1 / 3),
-        {"hidden": _STORM_HIDDEN, "window": 24, "seed": seed + 1},
-        FitConfig(learning_rate=2e-2, epochs=40, batch_len=250, momentum=0.9, seed=seed + 2),
-        methods,
-        {
-            "alpha": alpha,
-            "window": window,
-            "calib_window": calib_window,
-            "retrain_stride": retrain_stride,
-            "forest_config": ForestConfig(n_trees=15, min_leaf=30, seed=seed + 3),
-        },
-    )
+    result = run_stages(storm_config(seed, alpha, methods, window, calib_window, retrain_stride))
     return StormBenchmarkResult(seed=seed, reports=result.reports, elapsed_s=time.time() - start)

@@ -12,10 +12,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphcp
-from graphcp import experiments
+from graphcp import experiments, simulate
+from graphcp.pipeline import read_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +65,14 @@ def test_storm_reports_keep_the_order_of_methods(perfbench_modules):
     # the interval methods without forests keep this quick
     result = experiments.run_storm_benchmark(seed=3, methods=("vanilla", "poisson"))
     assert tuple(result.reports) == ("vanilla", "poisson")
+
+
+def test_storm_config_reads_back_as_the_storm_scenario():
+    # the storm benchmark runs through run_stages' document parser, so the
+    # scenario's JSON round trip must give the same panel bit for bit
+    scenario = read_scenario(experiments.storm_config(101, 0.1, ("poisson",), 8, 450, 50), 101)
+    assert scenario.to_dict() == experiments.storm_scenario(101).to_dict()
+    expected = simulate(experiments.storm_scenario(101))
+    panel = simulate(scenario)
+    assert np.array_equal(panel.counts, expected.counts)
+    assert np.array_equal(panel.weather, expected.weather)

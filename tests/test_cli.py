@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -112,7 +114,7 @@ def test_malformed_weather_file_exits_4(tmp_path, capsys):
 
 def test_conformal_unknown_method_exits_2(tmp_path, demo_data=None):
     data_dir = tmp_path / "data"
-    config = write_json(tmp_path / "sim.json", demo_scenario_doc())
+    config = write_json(tmp_path / "sim.json", {"scenario": demo_scenario_doc()})
     assert cli_main(["simulate", "--config", config, "--out", str(data_dir)]) == 0
     fit_doc = {
         "graph_file": str(data_dir / "graph.csv"),
@@ -140,7 +142,8 @@ def test_cli_stage_chain(tmp_path):
     config = write_json(
         tmp_path / "config.json",
         {
-            "scenario": demo_scenario_doc(seed=4),
+            "seed": 4,
+            "scenario": demo_scenario_doc(),
             "graph_file": str(data_dir / "graph.csv"),
             "weather_file": str(data_dir / "weather.csv"),
             "counts_file": str(data_dir / "counts.csv"),
@@ -188,10 +191,67 @@ def test_cli_stage_chain(tmp_path):
     assert len(violin_lines) == 1 + 2 * 5
 
 
+def digests(root):
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+def test_cli_chain_writes_what_pipeline_writes(tmp_path):
+    # the subcommands used to seed the init, the fit and the forests with
+    # seed itself where pipeline adds 1, 2 and 3, and simulate read a bare
+    # scenario and wrote no scenario.json
+    doc = pipeline_doc(seed=3)
+    methods = ["poisson", "vanilla", "temporal", "graph"]
+    doc["conformal"]["methods"] = methods
+    run_pipeline(doc, tmp_path / "pipeline")
+    out = tmp_path / "chain"
+    files = {
+        "graph_file": str(out / "data" / "graph.csv"),
+        "weather_file": str(out / "data" / "weather.csv"),
+        "counts_file": str(out / "data" / "counts.csv"),
+        "params_file": str(out / "model" / "params.json"),
+        "intervals_files": [str(out / "intervals" / f"intervals_{m}.csv") for m in methods],
+        "metrics_file": str(out / "metrics.json"),
+    }
+    config = write_json(tmp_path / "chain.json", {**doc, **files})
+    stages = [("simulate", "data"), ("fit", "model"), ("conformal", "intervals"),
+              ("evaluate", ""), ("report", "")]
+    for command, stage in stages:
+        assert cli_main([command, "--config", config, "--out", str(out / stage)]) == 0, command
+    expected = digests(tmp_path / "pipeline")
+    assert len(expected) == 13 and "data/scenario.json" in expected
+    assert digests(out) == expected
+
+
+def test_simulate_takes_the_top_level_seed(tmp_path):
+    # simulate used to take its seed from the scenario document
+    config = write_json(tmp_path / "sim.json", {"seed": 4, "scenario": demo_scenario_doc(seed=9)})
+    for flags, seed in (([], 4), (["--seed", "5"], 5)):
+        out = tmp_path / str(seed)
+        assert cli_main(["simulate", "--config", config, "--out", str(out)] + flags) == 0
+        assert json.loads((out / "meta.json").read_text())["seed"] == seed
+        assert json.loads((out / "scenario.json").read_text())["seed"] == seed
+
+
+def test_fit_logs_rollbacks_and_final_learning_rate(tmp_path, caplog):
+    # a fit that rolls back every epoch used to log only its first and last
+    # log-likelihood, which are then equal
+    inputs = fitted_model(tmp_path)
+    del inputs["params_file"]
+    fit_doc = {**inputs, "fit": {"epochs": 2, "learning_rate": 1e6}}
+    config = write_json(tmp_path / "fit.json", fit_doc)
+    with caplog.at_level(logging.INFO, logger="graphcp"):
+        assert cli_main(["fit", "--config", config, "--out", str(tmp_path / "m")]) == 0
+    assert "n_retreats 2, learning_rate_final 250000.0" in caplog.text, caplog.text
+
+
 def fitted_model(tmp_path):
     """Simulate demo data and fit one epoch; returns the predict config's inputs."""
     data_dir = tmp_path / "data"
-    sim_config = write_json(tmp_path / "sim.json", demo_scenario_doc(seed=6))
+    sim_config = write_json(tmp_path / "sim.json", {"seed": 6, "scenario": demo_scenario_doc()})
     assert cli_main(["simulate", "--config", sim_config, "--out", str(data_dir)]) == 0
     inputs = {
         "graph_file": str(data_dir / "graph.csv"),
@@ -224,40 +284,37 @@ def test_predict_range_outside_panel_exits_4(tmp_path):
         assert not (out / "predictions.csv").exists()
 
 
-def edited_run(tmp_path, capsys, command, key, value, method=None):
-    """Exit code and stderr of ``command`` on the fitted params with ``key[0] = value``."""
-    inputs = fitted_model(tmp_path)
-    params = json.loads(Path(inputs["params_file"]).read_text())
-    params[key][0] = value
-    doc = {**inputs, "params_file": write_json(tmp_path / "edited.json", params)}
-    argv = [command, "--config", write_json(tmp_path / "run.json", doc)]
-    argv += ["--out", str(tmp_path / "out")] + (["--method", method] if method else [])
-    capsys.readouterr()
-    code = cli_main(argv)
-    return code, capsys.readouterr().err
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_predict_nonfinite_rate_exits_4(tmp_path, capsys):
     # decay 1e308 overflows the excitation recursion: inf * exp(-1e308) = nan;
     # numpy's overflow warnings used to print before the one error line
-    code, err = edited_run(tmp_path, capsys, "predict", "decay", 1e308)
+    edit = edited_params(lambda p: p["decay"].__setitem__(0, 1e308))
+    code, err = nonfinite_run(tmp_path, capsys, "predict", edit)
     assert code == 4
-    assert "ValidationError" in err and len(err.splitlines()) == 1, err
-    assert not (tmp_path / "out" / "predictions.csv").exists()
+    assert "ValidationError" in err[0] and len(err) == 1, err
+    assert not (tmp_path / "o" / "predictions.csv").exists()
+
+
+def huge_rate(params):
+    """Node 0's rate about 1.31e308: scale 1e308 times softplus(1), whatever the fit."""
+    params["scale"][0] = 1e308
+    params["response"].update(w_out=[0.0] * len(params["response"]["w_out"]), b_out=1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", ["poisson", "vanilla", "temporal", "graph"])
 def test_conformal_nonfinite_bounds_exit_4(tmp_path, capsys, method):
-    # scale 1e308 keeps the rates finite, but Poisson quantiles of such a
-    # rate are nan, vanilla's point + half-width overflows to inf, and the
-    # forests' residual targets are too large to score splits on
-    code, err = edited_run(tmp_path, capsys, "conformal", "scale", 1e308, method)
+    # a rate near 1e308 is finite, but its Poisson quantiles are nan,
+    # vanilla's point + half-width overflows to inf, and the forests'
+    # residual targets are too large to score splits on
+    def bad(doc, tmp):
+        return {**edited_params(huge_rate)(doc, tmp), "conformal": {"methods": [method]}}
+
+    code, err = nonfinite_run(tmp_path, capsys, "conformal", bad)
     assert code == 4
     error = "DegenerateData" if method in ("temporal", "graph") else "ValidationError"
-    assert error in err and len(err.splitlines()) == 1, err
-    assert not (tmp_path / "out" / f"intervals_{method}.csv").exists()
+    assert error in err[0] and len(err) == 1, err
+    assert not (tmp_path / "o" / f"intervals_{method}.csv").exists()
 
 
 def test_fit_zero_batch_len_exits_2(tmp_path):
@@ -382,8 +439,7 @@ def pulse(**values):
 
 
 # scenario numbers that int() and float() accept but that are not JSON
-# integers or numbers; a scenario seed of "4" is a simulate case only,
-# since the pipeline's top-level seed replaces the scenario's
+# integers or numbers
 BAD_NUMBERS = [
     lambda doc: doc.update(n_steps="180"),
     lambda doc: doc["graph"].update(n_nodes=5.9),
@@ -469,6 +525,9 @@ UNKNOWN_SCENARIO_KEYS = [
         # the stage seeds come from the top level, never from a section
         ("fit", {"fit": {"epochs": 1, "seed": 1}}),
         ("evaluate", {"intervals_files": [], "conformal": {"forest": {"seed": 1}}}),
+        # the top-level seed replaces the scenario's after a type check,
+        # which pipeline used to skip
+        ("pipeline", scenario_edited(lambda doc: doc.update(seed="4"))),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
@@ -643,6 +702,42 @@ def test_infinite_learning_rate_exits_2(tmp_path, capsys, command, bad):
     assert not (tmp_path / "o" / "params.json").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, threshold, winner",
+    [
+        (lambda m: m["methods"].pop("graph"), 0.0, None),
+        (lambda m: None, 500.0, ["method,win_fraction,wins,n_eligible"]),
+    ],
+    ids=["one_method", "no_eligible_node"],
+)
+def test_report_writes_winner_as_pipeline_does(tmp_path, edit, threshold, winner):
+    # report used to exit 4 in both cases, where pipeline writes no
+    # winner.csv for one method and the header alone when no node is eligible
+    doc = {**metrics_file(edit)({}, tmp_path), "evaluate": {"outage_threshold": threshold}}
+    config = write_json(tmp_path / "report.json", doc)
+    assert cli_main(["report", "--config", config, "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "violin.csv").exists()
+    path = tmp_path / "r" / "winner.csv"
+    assert (path.read_text().splitlines() if path.exists() else None) == winner
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+def test_tiny_alpha_gives_infinite_upper_bounds(tmp_path, alpha):
+    # 1 - alpha / 2 rounds to 1, where the Poisson quantile is inf: the
+    # poisson upper bound used to be nan, and the run exited 4
+    doc = pipeline_doc(seed=1)
+    doc["conformal"].update(methods=["poisson", "vanilla"], alpha=alpha)
+    config = write_json(tmp_path / "pipe.json", doc)
+    assert cli_main(["pipeline", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
+    for method in ("poisson", "vanilla"):
+        series = read_interval_series(tmp_path / "o" / "intervals" / f"intervals_{method}.csv")
+        assert np.all(series.upper == math.inf)
+        assert metrics["methods"][method]["n_infinite_width"] == len(series) == 5 * 60
+    poisson = read_interval_series(tmp_path / "o" / "intervals" / "intervals_poisson.csv")
+    assert np.all(np.isfinite(poisson.lower))
+
+
 # -------------------------------------------------------------- pipeline
 
 
@@ -696,6 +791,8 @@ def valid_configs(tmp_path_factory):
     """One valid, quick config per subcommand, with the input files they name."""
     tmp = tmp_path_factory.mktemp("valid")
     inputs = fitted_model(tmp)
+    # the params document itself, which the test writes out after mutating it
+    params = json.loads(Path(inputs["params_file"]).read_text())
     data = {k: v for k, v in inputs.items() if k != "params_file"}
     split = {"split": [0.4, 0.3, 0.3], "seed": 2}
     conformal = {
@@ -722,17 +819,17 @@ def valid_configs(tmp_path_factory):
     pipeline["conformal"]["methods"] = ["poisson", "vanilla"]
     pipeline["conformal"]["forest"] = {"n_trees": 2, "max_depth": 3, "mtry": 1, "bootstrap": False}
     return {
-        # a bare scenario document, mutated here only: pipeline reads its
-        # scenario through the same ScenarioConfig.from_dict
-        "simulate": scenario_edited(lambda doc: None)["scenario"],
+        # the scenario is mutated here only: pipeline reads it through the
+        # same read_scenario
+        "simulate": {"seed": 2, **scenario_edited(lambda doc: None)},
         "fit": {
             **data,
             **split,
             "fit": {"hidden": 2, "window": 6, "epochs": 1, "learning_rate": 0.01,
                     "batch_len": 30, "momentum": 0.5},
         },
-        "predict": {**inputs, **split, "range": [5, 8]},
-        "conformal": conformal,
+        "predict": {**inputs, **split, "range": [5, 8], "params_file": params},
+        "conformal": {**conformal, "params_file": params},
         "evaluate": evaluate,
         "report": {"metrics_file": str(tmp / "m" / "metrics.json"),
                    "evaluate": {"outage_threshold": 0.0}},
@@ -740,20 +837,20 @@ def valid_configs(tmp_path_factory):
     }
 
 
-def sections(doc, path=()):
-    """The path of every JSON object in ``doc``, in lists too, except a
-    pipeline's scenario document."""
+def sections(doc, skip=(), path=()):
+    """The path of every JSON object in ``doc``, in lists too, except under
+    the keys in ``skip``."""
     yield path
     for key, value in doc.items():
-        if isinstance(value, dict) and key != "scenario":
-            yield from sections(value, path + (key,))
+        if isinstance(value, dict) and key not in skip:
+            yield from sections(value, skip, path + (key,))
         for i, item in enumerate(value if isinstance(value, list) else []):
             if isinstance(item, dict):
-                yield from sections(item, path + (key, i))
+                yield from sections(item, skip, path + (key, i))
 
 
-# the cases number about 1,520, so hypothesis runs out of new ones and stops
-# after trying each (8-12 s on 2 CPUs)
+# the cases number about 1,900, so hypothesis runs out of new ones and stops
+# after trying each
 @settings(
     max_examples=2000,
     deadline=None,
@@ -762,11 +859,13 @@ def sections(doc, path=()):
 )
 @given(data=st.data())
 def test_mutated_config_exits_cleanly(valid_configs, tmp_path_factory, capsys, data):
-    # swap one top-level or section value for a wrong-typed or out-of-range
-    # one, or add an unknown key; every outcome is a documented exit code
+    # swap one top-level, section, scenario or params value for a
+    # wrong-typed or out-of-range one, or add an unknown key; every outcome
+    # is a documented exit code
     command = data.draw(st.sampled_from(sorted(valid_configs)))
     doc = copy.deepcopy(valid_configs[command])
-    path = data.draw(st.sampled_from(list(sections(doc))))
+    skip = ("scenario",) if command == "pipeline" else ()
+    path = data.draw(st.sampled_from(list(sections(doc, skip))))
     section = doc
     for key in path:
         section = section[key]
@@ -776,6 +875,8 @@ def test_mutated_config_exits_cleanly(valid_configs, tmp_path_factory, capsys, d
     mutants = [m for m in MUTANTS if not (m == {} and isinstance(section.get(key), dict))]
     section[key] = data.draw(st.sampled_from(mutants))
     tmp = tmp_path_factory.mktemp("mutant")
+    if isinstance(doc.get("params_file"), dict):
+        doc["params_file"] = write_json(tmp / "params.json", doc["params_file"])
     config = write_json(tmp / "config.json", doc)
     capsys.readouterr()
     code = cli_main([command, "--config", config, "--out", str(tmp / "out")])
