@@ -3,7 +3,8 @@
 Subcommands: simulate, fit, predict, conformal, evaluate, report, pipeline.
 Each reads a JSON config (one pipeline document, with the file keys added,
 serves them all) plus CSV inputs and writes CSV/JSON outputs.
-Exit codes: 0 ok, 2 config problem, 3 I/O problem, 4 validation failure.
+Exit codes: 0 ok, 2 config problem, 3 I/O problem or out of memory, 4 validation
+failure.
 Set GRAPH_CP_LOG=debug|info|warning for verbosity.
 """
 
@@ -99,12 +100,11 @@ def _cmd_predict(args, doc: dict) -> int:
 
 
 def _cmd_conformal(args, doc: dict) -> int:
-    methods, kwargs = conformal_settings(doc, read_seed(doc), args.alpha)
+    methods, kwargs = conformal_settings(doc, read_seed(doc), args.alpha, args.method)
     fractions = split_fractions(doc)
     panel, graph = _read_panel_inputs(doc, args.config)
     params = load_params(_path(doc, "params_file", args.config))
     data_split = split(panel, fractions)
-    methods = methods if args.method is None else [args.method]
     series = [run_conformal(panel, graph, params, data_split, m, **kwargs) for m in methods]
     write_intervals(args.out, series)
     return 0
@@ -192,6 +192,9 @@ def cli_main(argv=None) -> int:
         return _EXIT_CONFIG
     except OSError as exc:
         print(f"graphcp: i/o error: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    except MemoryError as exc:
+        print(f"graphcp: out of memory: {exc}", file=sys.stderr)
         return _EXIT_IO
     except GraphCPError as exc:
         print(f"graphcp: {type(exc).__name__}: {exc}", file=sys.stderr)

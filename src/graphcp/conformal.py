@@ -96,10 +96,11 @@ class IntervalSeries:
         for name in ("time", "point", "lower", "upper", "y_true"):
             if getattr(self, name).shape[0] != n:
                 raise DimensionMismatch(f"interval column {name} has wrong length")
-        if np.any(self.lower > self.upper):
-            raise DimensionMismatch("interval with lower > upper")
-        if not np.all(np.isfinite(self.point)):
-            raise DimensionMismatch("non-finite point forecast")
+        # infinite bounds are legal, NaN ones are not
+        if not np.all(self.lower <= self.upper):
+            raise DimensionMismatch("interval with lower > upper or a NaN bound")
+        if not (np.all(np.isfinite(self.point)) and np.all(np.isfinite(self.y_true))):
+            raise DimensionMismatch("non-finite point forecast or truth")
 
     def __len__(self) -> int:
         return self.node.shape[0]
@@ -287,15 +288,6 @@ def run_conformal(
             resid, points, pools, alpha, window, calib_window, stride, forest_config
         )
 
-    series = IntervalSeries(
-        method=method,
-        node=np.tile(np.arange(k, dtype=np.int64), n_test),
-        time=np.repeat(np.arange(test_lo, test_hi + 1, dtype=np.int64), k),
-        point=points.T.ravel(),
-        lower=lower.T.ravel(),
-        upper=upper.T.ravel(),
-        y_true=counts[:, test_lo - 1 : test_hi].T.ravel().astype(np.float64),
-    )
     # vanilla's half-width is infinite in every cell when its rank exceeds
     # the calib_window residuals, and an upper bound may be infinite where
     # 1 - alpha / 2 rounds to 1; any other non-finite bound is an overflow
@@ -309,7 +301,15 @@ def run_conformal(
             f"conformal: {method} bounds [{lower[j, s]}, {upper[j, s]}] at node {j}, "
             f"time {test_lo + s} are not finite"
         )
-    return series
+    return IntervalSeries(
+        method=method,
+        node=np.tile(np.arange(k, dtype=np.int64), n_test),
+        time=np.repeat(np.arange(test_lo, test_hi + 1, dtype=np.int64), k),
+        point=points.T.ravel(),
+        lower=lower.T.ravel(),
+        upper=upper.T.ravel(),
+        y_true=counts[:, test_lo - 1 : test_hi].T.ravel().astype(np.float64),
+    )
 
 
 def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride, forest_config):

@@ -85,8 +85,9 @@ class MethodReport:
 
 
 def number(value) -> float:
-    """A JSON number, finite or not: ``mean_width`` is inf when every width is."""
-    if isinstance(value, (str, bool)):
+    """A JSON number, infinite or not but never NaN: ``mean_width`` is inf
+    when every width is."""
+    if isinstance(value, (str, bool)) or math.isnan(value):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
 

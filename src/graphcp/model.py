@@ -432,18 +432,15 @@ def _excitation_filtered(counts, decay, damp, with_sensitivity) -> tuple:
 
 @dataclass
 class _Forward:
-    """One forward pass over the columns ``cols`` of the panel.
-
-    Operands of matrix products keep the full (K, T, ...) shape and are zero
-    outside the columns computed; element-wise results hold ``cols`` only.
-    """
+    """One forward pass over the n time columns ``cols`` of the panel; every
+    array over time holds those columns only."""
 
     cols: slice  # 0-based time columns of the pass
-    v: np.ndarray  # (K, T, M) cumulative weather
-    v_age: "np.ndarray | None"  # (K, T, M) its age tensor
-    hidden: np.ndarray  # (K, T, H) tanh activations
-    excite: np.ndarray  # (K, T), computed up to cols.stop
-    excite_sens: "np.ndarray | None"  # (K, T), computed up to cols.stop
+    v: np.ndarray  # (K, n, M) cumulative weather
+    v_age: "np.ndarray | None"  # (K, n, M) its age tensor
+    hidden: np.ndarray  # (K, n, H) tanh activations
+    excite: np.ndarray  # (K, n)
+    excite_sens: "np.ndarray | None"  # (K, n)
     pre_out: np.ndarray  # (K, n) response pre-activation
     response: np.ndarray  # (K, n)
     raw_rates: np.ndarray  # (K, n) before flooring
@@ -480,8 +477,9 @@ def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _
 
     Only the steps the range reads are computed: the excitation recursion
     up to the range's end, and the weather kernel over the range plus the
-    window before it.  The matrix products run on full-width operands, so
-    they round exactly as in a pass over the whole panel.
+    window before it.  The two matrix products over time run on operands
+    zero-padded to the panel's width, so they round exactly as in a pass
+    over the whole panel.
     """
     _check_dims(panel, graph, params)
     cols = _range_slice(panel, time_range)
@@ -497,14 +495,12 @@ def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _
     weather = panel.weather[:, w_lo:w_hi]
     v_age = None
     if with_sensitivity:
-        v, v_age = cumulative_weather(
-            weather, params.weather_decay, params.window, _with_age=True
-        )
-        v_age = _widen(v_age[:, inner], t_total, cols.start)
+        v, v_age = cumulative_weather(weather, params.weather_decay, params.window, _with_age=True)
+        v_age = v_age[:, inner]
     else:
         v = cumulative_weather(weather, params.weather_decay, params.window)
-    v = _widen(v[:, inner], t_total, cols.start)
-    hidden = v @ weights.w_hidden.T
+    v = v[:, inner]
+    hidden = _widen(v, t_total, cols.start) @ weights.w_hidden.T
     np.tanh(hidden[:, cols] + weights.b_hidden, out=hidden[:, cols])
     pre_out = (hidden @ weights.w_out)[:, cols] + weights.b_out
     response = softplus(pre_out)
@@ -512,15 +508,14 @@ def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _
     excite_sens = None
     if with_sensitivity:
         excite, excite_sens = excitation(counts, params.decay, _with_sensitivity=True)
-        excite_sens = _widen(excite_sens, t_total, 0)
+        excite_sens = excite_sens[:, cols]
     else:
         excite = excitation(counts, params.decay)
-    excite = _widen(excite, t_total, 0)
     mat = params.coupling_matrix(graph)
-    raw_rates = params.scale[:, None] * response + (mat @ excite)[:, cols]
+    raw_rates = params.scale[:, None] * response + (mat @ _widen(excite, t_total, 0))[:, cols]
     rates = np.maximum(raw_rates, INTENSITY_FLOOR)
     return _Forward(
-        cols, v, v_age, hidden, excite, excite_sens,
+        cols, v, v_age, hidden[:, cols], excite[:, cols], excite_sens,
         pre_out, response, raw_rates, rates, mat,
     )
 
@@ -559,61 +554,59 @@ def log_likelihood(panel, graph, params, time_range=None) -> float:
 # --------------------------------------------------------------------------
 
 
-class ParamPacker:
-    """Bijection between ModelParams and a flat unconstrained vector.
+# The packed vector's blocks in order: name, shape over the edge count E,
+# nodes K, weather variables M and hidden units H, and whether the block is a
+# nonnegative ModelParams rate (packed through softplus_inv) or a
+# ResponseWeights field (packed as it is).
+_BLOCKS = (
+    ("coupling", "E", True),
+    ("decay", "K", True),
+    ("scale", "K", True),
+    ("weather_decay", "M", True),
+    ("w_hidden", "HM", False),
+    ("b_hidden", "H", False),
+    ("w_out", "H", False),
+    ("b_out", "", False),
+)
 
-    Coupling (edge order is the sorted edge list), decay, scale, and
-    weather_decay go through softplus; response weights are packed as-is.
-    The pinned self-couplings have no coordinate at all.
+
+class ParamPacker:
+    """Bijection between ModelParams and a flat unconstrained vector laid out
+    as ``_BLOCKS``.  Coupling follows the sorted edge list; the pinned
+    self-couplings have no coordinate at all.
     """
 
     def __init__(self, graph: ServiceGraph, n_vars: int, hidden: int):
         self.edge_order: list[tuple[int, int]] = graph.edge_pairs()
         self.edge_src, self.edge_dst = _edge_index(self.edge_order)
-        self.n_nodes = graph.n_nodes
         self.n_vars = n_vars
         self.hidden = hidden
-        counts = [
-            len(self.edge_order),
-            self.n_nodes,
-            self.n_nodes,
-            n_vars,
-            hidden * n_vars,
-            hidden,
-            hidden,
-            1,
-        ]
-        bounds = np.cumsum([0] + counts)
-        keys = (
-            "coupling",
-            "decay",
-            "scale",
-            "weather_decay",
-            "w_hidden",
-            "b_hidden",
-            "w_out",
-            "b_out",
-        )
+        dims = {"E": len(self.edge_order), "K": graph.n_nodes, "M": n_vars, "H": hidden}
+        self.shapes = {key: tuple(dims[d] for d in shape) for key, shape, _ in _BLOCKS}
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in self.shapes.values()])
         self.slices = {
-            key: slice(int(bounds[i]), int(bounds[i + 1])) for i, key in enumerate(keys)
+            key: slice(int(lo), int(hi)) for key, lo, hi in zip(self.shapes, bounds, bounds[1:])
         }
         self.size = int(bounds[-1])
+
+    def _natural(self, params: ModelParams) -> dict:
+        """Each block's values in ``params``, coupling as an array in edge order."""
+        values = {key: getattr(params if rate else params.response, key) for key, _, rate in _BLOCKS}
+        values["coupling"] = np.array([params.coupling[e] for e in self.edge_order])
+        return values
+
+    def _join(self, blocks: dict, rate_map) -> np.ndarray:
+        """The packed vector of ``blocks`` by name, each rate block through
+        ``rate_map(key, block)``."""
+        out = np.empty(self.size)
+        for key, _, rate in _BLOCKS:
+            out[self.slices[key]] = rate_map(key, blocks[key]) if rate else np.ravel(blocks[key])
+        return out
 
     def pack(self, params: ModelParams) -> np.ndarray:
         if params.response.hidden_units != self.hidden or params.n_vars != self.n_vars:
             raise DimensionMismatch("params do not match this packer's dimensions")
-        raw = np.empty(self.size)
-        raw[self.slices["coupling"]] = softplus_inv(
-            np.array([params.coupling[e] for e in self.edge_order])
-        )
-        raw[self.slices["decay"]] = softplus_inv(params.decay)
-        raw[self.slices["scale"]] = softplus_inv(params.scale)
-        raw[self.slices["weather_decay"]] = softplus_inv(params.weather_decay)
-        raw[self.slices["w_hidden"]] = params.response.w_hidden.ravel()
-        raw[self.slices["b_hidden"]] = params.response.b_hidden
-        raw[self.slices["w_out"]] = params.response.w_out
-        raw[self.slices["b_out"]] = params.response.b_out
-        return raw
+        return self._join(self._natural(params), lambda key, values: softplus_inv(values))
 
     def unpack_preserving(
         self, raw: np.ndarray, raw_init: np.ndarray, init: ModelParams
@@ -625,27 +618,17 @@ class ParamPacker:
         """
         raw = np.asarray(raw, dtype=np.float64)
         moved = raw != raw_init
-
-        def rate_block(key, init_vals):
-            nat = softplus(raw[self.slices[key]])
-            return np.where(moved[self.slices[key]], nat, init_vals)
-
-        coupling_vals = rate_block("coupling", [init.coupling[e] for e in self.edge_order])
+        start = self._natural(init)
+        rates, weights = {}, {}
+        for key, _, rate in _BLOCKS:
+            sl = self.slices[key]
+            if rate:
+                rates[key] = np.where(moved[sl], softplus(raw[sl]), start[key])
+            else:
+                weights[key] = raw[sl].reshape(self.shapes[key])
+        rates["coupling"] = dict(zip(self.edge_order, map(float, rates["coupling"])))
         return ModelParams(
-            coupling={
-                edge: float(val) for edge, val in zip(self.edge_order, coupling_vals)
-            },
-            decay=rate_block("decay", init.decay),
-            scale=rate_block("scale", init.scale),
-            weather_decay=rate_block("weather_decay", init.weather_decay),
-            response=ResponseWeights(
-                raw[self.slices["w_hidden"]].reshape(self.hidden, self.n_vars),
-                raw[self.slices["b_hidden"]],
-                raw[self.slices["w_out"]],
-                float(raw[self.slices["b_out"]][0]),
-            ),
-            window=init.window,
-            seed=init.seed,
+            **rates, response=ResponseWeights(**weights), window=init.window, seed=init.seed
         )
 
 
@@ -664,26 +647,19 @@ def likelihood_gradient(
     if packer is None:
         packer = ParamPacker(graph, params.n_vars, params.response.hidden_units)
     fwd = _forward(panel, graph, params, time_range, with_sensitivity=True)
-    sl = fwd.cols
-    counts = panel.counts[:, sl].astype(np.float64)
-    rates = fwd.rates
+    counts = panel.counts[:, fwd.cols].astype(np.float64)
     active = fwd.raw_rates > INTENSITY_FLOOR
-    dll_drate = np.where(active, counts / rates - 1.0, 0.0)
-
-    resp = fwd.response
-    hidden = fwd.hidden[:, sl, :]
-    v = fwd.v[:, sl, :]
-    excite = fwd.excite[:, sl]
-    excite_sens = fwd.excite_sens[:, sl]
+    dll_drate = np.where(active, counts / fwd.rates - 1.0, 0.0)
+    hidden = fwd.hidden
     weights = params.response
 
-    d_scale = np.sum(dll_drate * resp, axis=1)
+    d_scale = np.sum(dll_drate * fwd.response, axis=1)
     # coupling: cross matrix G[dst, src] = sum_t dll_drate[dst, t] * S[src, t]
-    cross = dll_drate @ excite.T
+    cross = dll_drate @ fwd.excite.T
     d_coupling = cross[packer.edge_dst, packer.edge_src]
     # decay[j] feeds every node that pools j, weighted by the coupling
     pooled = fwd.mat.T @ dll_drate
-    d_decay = np.sum(excite_sens * pooled, axis=1)
+    d_decay = np.sum(fwd.excite_sens * pooled, axis=1)
 
     d_resp = dll_drate * params.scale[:, None]
     sig = expit(fwd.pre_out)
@@ -691,25 +667,18 @@ def likelihood_gradient(
     d_w_out = np.einsum("kt,kth->h", g_out, hidden)
     d_b_out = float(np.sum(g_out))
     g_hidden = g_out[:, :, None] * weights.w_out * (1.0 - hidden**2)
-    d_w_hidden = np.einsum("kth,ktm->hm", g_hidden, v)
+    d_w_hidden = np.einsum("kth,ktm->hm", g_hidden, fwd.v)
     d_b_hidden = np.sum(g_hidden, axis=(0, 1))
     d_v = g_hidden @ weights.w_hidden
-    d_weather_decay = -np.einsum("ktm,ktm->m", d_v, fwd.v_age[:, sl, :])
+    d_weather_decay = -np.einsum("ktm,ktm->m", d_v, fwd.v_age)
 
-    grad = np.empty(packer.size)
-    grad[packer.slices["coupling"]] = d_coupling * _rate_chain(
-        np.array([params.coupling[e] for e in packer.edge_order])
+    grads = dict(
+        coupling=d_coupling, decay=d_decay, scale=d_scale, weather_decay=d_weather_decay,
+        w_hidden=d_w_hidden, b_hidden=d_b_hidden, w_out=d_w_out, b_out=d_b_out,
     )
-    grad[packer.slices["decay"]] = d_decay * _rate_chain(params.decay)
-    grad[packer.slices["scale"]] = d_scale * _rate_chain(params.scale)
-    grad[packer.slices["weather_decay"]] = d_weather_decay * _rate_chain(
-        params.weather_decay
-    )
-    grad[packer.slices["w_hidden"]] = d_w_hidden.ravel()
-    grad[packer.slices["b_hidden"]] = d_b_hidden
-    grad[packer.slices["w_out"]] = d_w_out
-    grad[packer.slices["b_out"]] = d_b_out
-    return grad
+    # each rate's raw coordinate moves it by softplus' slope at its value
+    natural = packer._natural(params)
+    return packer._join(grads, lambda key, grad: grad * _rate_chain(natural[key]))
 
 
 # --------------------------------------------------------------------------
@@ -763,12 +732,7 @@ class FitResult:
 
 def _time_blocks(lo: int, hi: int, batch_len: int) -> list[tuple[int, int]]:
     """Fixed partition of the 1-based inclusive range into contiguous blocks."""
-    blocks = []
-    start = lo
-    while start <= hi:
-        blocks.append((start, min(start + batch_len - 1, hi)))
-        start += batch_len
-    return blocks
+    return [(start, min(start + batch_len - 1, hi)) for start in range(lo, hi + 1, batch_len)]
 
 
 def fit(

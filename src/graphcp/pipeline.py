@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import ForestConfig, run_conformal
-from .errors import ConfigError, NoEligibleNodes, ValidationError, coerce, done, read_fields, take
+from .conformal import METHODS, ForestConfig, run_conformal
+from .errors import (
+    ConfigError, ListOf, NoEligibleNodes, ValidationError, coerce, done, read_fields, take,
+)
 from .evaluate import MethodReport, coverage_metrics, violin_export, winner_table
 from .model import FitConfig, FitResult, fit, init_params, save_params
 from .panel import (
@@ -101,11 +103,16 @@ def fit_settings(doc: dict, seed: int):
     return init_kwargs, replace(read_fields(FitConfig, section, kinds, "fit."), seed=seed + 2)
 
 
-def conformal_settings(doc: dict, seed: int, alpha=None) -> tuple:
+def conformal_settings(doc: dict, seed: int, alpha=None, method=None) -> tuple:
     """The methods and ``run_conformal`` keyword arguments of the ``conformal``
-    section, with forest seed ``seed + 3``; a given ``alpha`` overrides the config's."""
+    section, with forest seed ``seed + 3``; a given ``alpha`` overrides the
+    config's, and a given ``method`` replaces its methods, which must be
+    distinct names from ``METHODS``, at least one."""
     section, at = take(doc, "conformal", dict, {}), "conformal."
-    methods = take(section, "methods", list, ["poisson", "temporal", "graph"], at)
+    methods = take(section, "methods", ListOf(str), ["poisson", "temporal", "graph"], at)
+    methods = list(methods if method is None else [method])
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        raise ConfigError(f"{at}methods: expected distinct names from {METHODS}, got {methods}")
     kinds = dict(n_trees=int, max_depth=int, min_leaf=int, mtry=int, bootstrap=bool)
     forest = read_fields(ForestConfig, take(section, "forest", dict, {}, at), kinds, at + "forest.")
     kwargs = {

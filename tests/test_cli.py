@@ -1,8 +1,11 @@
 import copy
 import hashlib
+import itertools
 import json
 import logging
 import math
+import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from graphcp.conformal import read_interval_series
 from graphcp.model import ModelParams, ResponseWeights, load_params
 from graphcp.pipeline import run_pipeline
 from graphcp.synth import GraphSpec, ScenarioConfig, WeatherSpec
+from tests.test_qrf import time_limit
 
 
 def demo_scenario_doc(seed=0, k=5, t_total=180):
@@ -528,6 +532,13 @@ UNKNOWN_SCENARIO_KEYS = [
         # the top-level seed replaces the scenario's after a type check,
         # which pipeline used to skip
         ("pipeline", scenario_edited(lambda doc: doc.update(seed="4"))),
+        # no method ran every stage and then exited 4; a repeated one ran twice
+        ("pipeline", {"conformal": {"methods": []}}),
+        ("pipeline", {"conformal": {"methods": ["poisson", "poisson"]}}),
+        ("conformal", {"conformal": {"methods": []}}),
+        ("conformal", {"conformal": {"methods": ["poisson", "poisson"]}}),
+        # a NaN width used to win the winner table
+        ("report", metrics_file(lambda m: m["methods"]["graph"].update(mean_width=math.nan))),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
@@ -541,6 +552,32 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
     assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("column", ["lower", "upper", "y_true"])
+def test_evaluate_nan_interval_exits_4(tmp_path, capsys, column):
+    # a NaN truth used to be written into metrics.json as NaN, and a NaN
+    # bound counted as an infinite width
+    row = {"method": "poisson", "node": 0, "time": 1, "point": 1.0, "lower": 0.0,
+           "upper": 3.0, "y_true": 1.0, column: math.nan}
+    intervals = tmp_path / "intervals_poisson.csv"
+    intervals.write_text(",".join(row) + "\n" + ",".join(map(str, row.values())) + "\n")
+    config = write_json(tmp_path / "eval.json", {"intervals_files": [str(intervals)]})
+    capsys.readouterr()
+    code = cli_main(["evaluate", "--config", config, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4 and len(err) == 1 and "DimensionMismatch" in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys):
+    # numpy's MemoryError used to escape cli_main with a traceback; 2**58
+    # hidden units ask for 2 EiB, more than any address space, so the
+    # allocation fails at once
+    code, err = nonfinite_run(tmp_path, capsys, "pipeline", {"fit": {"hidden": 2**58}})
+    assert code == 3 and len(err) == 1 and "out of memory" in err[0], err
+    assert not (tmp_path / "o").exists()
 
 
 # the subcommands' own layouts (``init`` and ``optimizer``, top-level
@@ -884,5 +921,93 @@ def test_mutated_config_exits_cleanly(valid_configs, tmp_path_factory, capsys, d
     assert code in (0, 2, 3, 4), (command, path, key, section.get(key))
     assert "Traceback" not in err
     assert len(err.splitlines()) == (code != 0), (command, path, key, section.get(key), err)
-    for out in (tmp / "out").rglob("*.csv"):
-        assert "nan" not in out.read_text(), (command, path, key, section.get(key), out)
+    assert not written_nan(tmp / "out"), (command, path, key, section.get(key))
+
+
+def written_nan(out: Path) -> list:
+    """The CSV and JSON files under ``out`` that hold a NaN."""
+    return [
+        file for file in out.rglob("*")
+        if file.suffix in (".csv", ".json") and re.search(r"\bnan\b", file.read_text(), re.I)
+    ]
+
+
+# -------------------------------------------------------------- mutated data files
+
+# the input files of each subcommand that reads data, by config key
+DATA_FILES = [
+    (command, key)
+    for command in ("predict", "conformal")
+    for key in ("weather_file", "counts_file", "graph_file")
+] + [("evaluate", "intervals_files"), ("report", "metrics_file")]
+# the new text of a mutated cell; a metrics.json value becomes the number
+# Python reads from it, or else the string
+CELLS = ["nan", "inf", "-inf", "-1", "1.5", "x", "", "1e308", "-0.0", "5e-324"]
+
+
+def json_value(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def leaves(doc, path=()):
+    """The path of every value in the JSON object ``doc`` that is not an object."""
+    for key, value in doc.items():
+        yield from leaves(value, path + (key,)) if isinstance(value, dict) else [path + (key,)]
+
+
+def places(source: Path) -> list:
+    """The JSON value paths of a JSON ``source``, else its CSV column indices."""
+    if source.suffix == ".json":
+        return list(leaves(json.loads(source.read_text())))
+    return list(range(len(source.read_text().splitlines()[0].split(","))))
+
+
+def mutated_cell(source: Path, place, text: str, rng) -> str:
+    """``source`` with the JSON value at ``place``, or the column ``place`` of
+    a data row drawn from ``rng``, set to ``text``."""
+    if source.suffix == ".json":
+        doc = json.loads(source.read_text())
+        *path, key = place
+        section = doc
+        for part in path:
+            section = section[part]
+        section[key] = json_value(text)
+        return json.dumps(doc)
+    lines = source.read_text().splitlines()
+    row = rng.randrange(1, len(lines))
+    cells = lines[row].split(",")
+    cells[place] = text
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, key", DATA_FILES)
+def test_mutated_data_file_exits_cleanly(valid_configs, tmp_path, capsys, command, key):
+    # set one cell of a data, intervals or metrics file, in every column or
+    # at every JSON value in turn, to a NaN, an infinity, an out-of-range
+    # number or a non-number; a NaN truth used to be written into metrics.json
+    doc = copy.deepcopy(valid_configs[command])
+    if isinstance(doc.get("params_file"), dict):
+        doc["params_file"] = write_json(tmp_path / "params.json", doc["params_file"])
+    files = doc[key] if key == "intervals_files" else [doc[key]]
+    source = Path(files[0])
+    rng = random.Random(key)
+    for n, (place, text) in enumerate(itertools.product(places(source), CELLS)):
+        case = tmp_path / str(n)
+        case.mkdir()
+        (case / source.name).write_text(mutated_cell(source, place, text, rng))
+        mutated = [str(case / source.name)] + files[1:]
+        config = write_json(case / "config.json",
+                            {**doc, key: mutated if key == "intervals_files" else mutated[0]})
+        capsys.readouterr()
+        with time_limit(10):
+            code = cli_main([command, "--config", config, "--out", str(case / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (command, key, place, text)
+        assert len(err.splitlines()) == (code != 0), (command, key, place, text, err)
+        assert not written_nan(case / "out"), (command, key, place, text)

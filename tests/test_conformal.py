@@ -25,7 +25,7 @@ from graphcp.conformal import (
     run_conformal,
     vanilla_cp,
 )
-from graphcp.errors import DegenerateData, InsufficientHistory, UnknownMethod
+from graphcp.errors import DegenerateData, DimensionMismatch, InsufficientHistory, UnknownMethod
 from graphcp.model import ModelParams, ResponseWeights, intensity
 from graphcp.panel import ServiceGraph, split
 from graphcp.qrf import ForestConfig, fit_forest
@@ -320,16 +320,24 @@ def test_run_conformal_warmup_too_short():
 
 
 def test_interval_series_rejects_crossed_bounds():
-    with pytest.raises(Exception):
-        IntervalSeries(
+    def series(lower=0.0, upper=2.0, y_true=0.0):
+        return IntervalSeries(
             method="x",
             node=np.array([0]),
             time=np.array([1]),
             point=np.array([1.0]),
-            lower=np.array([2.0]),
-            upper=np.array([1.0]),
-            y_true=np.array([0.0]),
+            lower=np.array([lower]),
+            upper=np.array([upper]),
+            y_true=np.array([y_true]),
         )
+
+    # crossed bounds, NaN bounds and non-finite truths; NaN used to pass
+    for bad in (dict(lower=2.0, upper=1.0), dict(lower=math.nan), dict(upper=math.nan),
+                dict(y_true=math.nan), dict(y_true=math.inf)):
+        with pytest.raises(DimensionMismatch):
+            series(**bad)
+    # infinite bounds stay legal
+    assert len(series(lower=-math.inf, upper=math.inf)) == 1
 
 
 # ---------------------------------------------------------------- fork pool
