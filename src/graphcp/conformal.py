@@ -101,6 +101,14 @@ class IntervalSeries:
             raise DimensionMismatch("interval with lower > upper or a NaN bound")
         if not (np.all(np.isfinite(self.point)) and np.all(np.isfinite(self.y_true))):
             raise DimensionMismatch("non-finite point forecast or truth")
+        y = self.y_true
+        if not np.all((self.node >= 0) & (self.time >= 1) & (y >= 0) & (y == np.floor(y))):
+            raise DimensionMismatch("interval row with node < 0, time < 1 or a non-count truth")
+        # one row per cell: sorted, a repeat sits next to its first row
+        order = np.lexsort((self.time, self.node))
+        node, time = self.node[order], self.time[order]
+        if np.any((node[1:] == node[:-1]) & (time[1:] == time[:-1])):
+            raise DimensionMismatch("more than one interval row for a (node, time) cell")
 
     def __len__(self) -> int:
         return self.node.shape[0]

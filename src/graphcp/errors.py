@@ -167,11 +167,13 @@ def read_fields(cls, doc: dict, kinds: dict, where: str = ""):
 
 def field_dict(obj) -> dict:
     """The JSON object of the dataclass ``obj``, the inverse of ``read_fields``:
-    its fields by name, nested objects through their ``to_dict``, tuples as lists."""
+    its fields by name, nested objects through their ``to_dict``, tuples and arrays as lists."""
     return {field.name: _json_value(getattr(obj, field.name)) for field in dataclasses.fields(obj)}
 
 
 def _json_value(value):
     if isinstance(value, tuple):
         return [_json_value(item) for item in value]
+    if hasattr(value, "tolist"):
+        return value.tolist()
     return value.to_dict() if hasattr(value, "to_dict") else value

@@ -39,7 +39,9 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, DimensionMismatch, NonFiniteLoss, coerce, take
+from .errors import (
+    ConfigError, DimensionMismatch, NonFiniteLoss, coerce, field_dict, read_fields, take,
+)
 from .panel import PanelDataset, ServiceGraph, _readonly, read_json, write_json
 
 __all__ = [
@@ -123,9 +125,12 @@ class ResponseWeights:
     def n_vars(self) -> int:
         return self.w_hidden.shape[1]
 
+    to_dict = field_dict
+
     @classmethod
-    def zeros(cls, hidden: int, n_vars: int) -> "ResponseWeights":
-        return cls(np.zeros((hidden, n_vars)), np.zeros(hidden), np.zeros(hidden), 0.0)
+    def from_dict(cls, doc: dict, where: str = "") -> "ResponseWeights":
+        kinds = dict(w_hidden=float_array, b_hidden=float_array, w_out=float_array, b_out=float)
+        return read_fields(cls, doc, kinds, where)
 
     @classmethod
     def random(cls, hidden: int, n_vars: int, rng, scale: float = 0.3) -> "ResponseWeights":
@@ -214,33 +219,21 @@ class ModelParams:
         mat[dst, src] = list(self.coupling.values())
         return mat
 
+    def _header(self) -> dict:  # the dimensions to_dict writes next to the arrays
+        return dict(n_nodes=self.n_nodes, n_vars=self.n_vars, hidden=self.response.hidden_units)
+
     def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "n_vars": self.n_vars,
-            "hidden": self.response.hidden_units,
-            "window": self.window,
-            "seed": self.seed,
-            "coupling": [
-                [src, dst, value] for (src, dst), value in sorted(self.coupling.items())
-            ],
-            "decay": self.decay.tolist(),
-            "scale": self.scale.tolist(),
-            "weather_decay": self.weather_decay.tolist(),
-            "response": {
-                "w_hidden": self.response.w_hidden.tolist(),
-                "b_hidden": self.response.b_hidden.tolist(),
-                "w_out": self.response.w_out.tolist(),
-                "b_out": self.response.b_out,
-            },
-        }
+        coupling = [[src, dst, value] for (src, dst), value in sorted(self.coupling.items())]
+        return dict(field_dict(self), coupling=coupling, **self._header())
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "params.") -> "ModelParams":
-        """Parse ``to_dict`` output; a missing key or a wrong-typed value raises
-        ConfigError naming the key, prefixed by ``where``.  Other keys are ignored."""
-        doc = dict(coerce(dict, doc, where.rstrip(".")))
-        resp = dict(take(doc, "response", dict, where=where))
+        """Parse ``to_dict`` output; a missing, unknown or wrong-typed key raises
+        ConfigError naming it, prefixed by ``where``.  A header key may be absent,
+        and one that disagrees with the arrays raises DimensionMismatch."""
+        doc = dict(doc)
+        header = {key: take(doc, key, int, where=where) for key in ("n_nodes", "n_vars", "hidden")
+                  if key in doc}
         coupling = {}
         for i, row in enumerate(take(doc, "coupling", list, where=where)):
             at = f"{where}coupling[{i}]"
@@ -248,21 +241,13 @@ class ModelParams:
                 raise ConfigError(f"{at}: expected [src, dst, value], got {row!r}")
             src, dst, value = row
             coupling[coerce(int, src, at), coerce(int, dst, at)] = coerce(float, value, at)
-        at = f"{where}response."
-        return cls(
-            coupling=coupling,
-            decay=take(doc, "decay", float_array, where=where),
-            scale=take(doc, "scale", float_array, where=where),
-            weather_decay=take(doc, "weather_decay", float_array, where=where),
-            response=ResponseWeights(
-                take(resp, "w_hidden", float_array, where=at),
-                take(resp, "b_hidden", float_array, where=at),
-                take(resp, "w_out", float_array, where=at),
-                take(resp, "b_out", float, where=at),
-            ),
-            window=take(doc, "window", int, where=where),
-            seed=take(doc, "seed", int, None, where, nullable=True),
-        )
+        kinds = dict(coupling=dict, decay=float_array, scale=float_array,
+                     weather_decay=float_array, response=ResponseWeights, window=int, seed=int)
+        params = read_fields(cls, dict(doc, coupling=coupling), kinds, where)
+        for key, value in header.items():
+            if value != (actual := params._header()[key]):
+                raise DimensionMismatch(f"{where}{key} is {value}, the arrays give {actual}")
+        return params
 
 
 def float_array(value) -> np.ndarray:
@@ -590,9 +575,9 @@ class ParamPacker:
         self.size = int(bounds[-1])
 
     def _natural(self, params: ModelParams) -> dict:
-        """Each block's values in ``params``, coupling as an array in edge order."""
+        """Each block's values in ``params``, coupling in edge order and 0 where omitted."""
         values = {key: getattr(params if rate else params.response, key) for key, _, rate in _BLOCKS}
-        values["coupling"] = np.array([params.coupling[e] for e in self.edge_order])
+        values["coupling"] = np.array([params.coupling.get(e, 0.0) for e in self.edge_order])
         return values
 
     def _join(self, blocks: dict, rate_map) -> np.ndarray:

@@ -88,10 +88,6 @@ class _Tree:
             active = active[self.feature[at] >= 0]
         return node
 
-    def leaf_members(self, node: int) -> np.ndarray:
-        start = self.leaf_start[node]
-        return self.members[start : start + self.leaf_size[node]]
-
 
 @dataclass
 class FittedForest:
@@ -140,15 +136,6 @@ class FittedForest:
             np.add.at(flat, np.repeat(row_base, size) + members, np.repeat(per_tree / size, size))
         return w
 
-    def weights(self, query) -> np.ndarray:
-        """Meinshausen weights over the training rows; nonnegative, sum to 1.
-
-        One (p,) query gives an (n,) vector, a (Q, p) block a (Q, n) matrix.
-        """
-        queries, single = self._query_block(query)
-        w = self._weight_block(self._leaves(queries))
-        return w[0] if single else w
-
     def quantile(self, query, level):
         """Conditional quantile(s) at one or more levels in (0, 1).
 
@@ -175,26 +162,6 @@ class FittedForest:
         if np.isscalar(level) or np.ndim(level) == 0:
             return float(values[0]) if single else values[:, 0]
         return values
-
-    def to_debug_dict(self) -> dict:
-        """Dump tree structure for inspection; layout not stability-guaranteed."""
-        return {
-            "n_samples": self.n_samples,
-            "n_features": self.n_features,
-            "trees": [
-                {
-                    "feature": tree.feature.tolist(),
-                    "threshold": tree.threshold.tolist(),
-                    "left": tree.left.tolist(),
-                    "right": tree.right.tolist(),
-                    "leaf_members": [
-                        None if f >= 0 else tree.leaf_members(node).tolist()
-                        for node, f in enumerate(tree.feature)
-                    ],
-                }
-                for tree in self.trees
-            ],
-        }
 
 
 def _best_split(xt, y, sorted_rows, feats, min_leaf):

@@ -1,5 +1,6 @@
-"""Test-only helpers: an exchangeable i.i.d. regression sampler and the
-excitation stability diagnostics.
+"""Test-only helpers: an exchangeable i.i.d. regression sampler, the
+excitation stability diagnostics, a zero response network, and views of a
+fitted forest's trees and weights.
 
 Only tests use them, so they live here rather than in ``graphcp``.
 """
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphcp.errors import DimensionMismatch
-from graphcp.model import ModelParams
+from graphcp.model import ModelParams, ResponseWeights
 from graphcp.panel import ServiceGraph
 
 
@@ -76,3 +77,50 @@ def branching_matrix(graph: ServiceGraph, params: ModelParams) -> np.ndarray:
 
 def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+
+# --------------------------------------------------------------------------
+# Model and forest views
+# --------------------------------------------------------------------------
+
+
+def zero_response(hidden: int, n_vars: int) -> ResponseWeights:
+    """A response network with every weight 0: softplus(0) = log 2 everywhere."""
+    return ResponseWeights(np.zeros((hidden, n_vars)), np.zeros(hidden), np.zeros(hidden), 0.0)
+
+
+def leaf_members(tree, node: int) -> np.ndarray:
+    """The training rows in leaf ``node`` of a fitted forest's tree."""
+    start = tree.leaf_start[node]
+    return tree.members[start : start + tree.leaf_size[node]]
+
+
+def forest_weights(forest, query) -> np.ndarray:
+    """Meinshausen weights over the training rows; nonnegative, sum to 1.
+
+    One (p,) query gives an (n,) vector, a (Q, p) block a (Q, n) matrix.
+    """
+    queries, single = forest._query_block(query)
+    w = forest._weight_block(forest._leaves(queries))
+    return w[0] if single else w
+
+
+def forest_debug_dict(forest) -> dict:
+    """A fitted forest's tree structure as plain lists."""
+    return {
+        "n_samples": forest.n_samples,
+        "n_features": forest.n_features,
+        "trees": [
+            {
+                "feature": tree.feature.tolist(),
+                "threshold": tree.threshold.tolist(),
+                "left": tree.left.tolist(),
+                "right": tree.right.tolist(),
+                "leaf_members": [
+                    None if f >= 0 else leaf_members(tree, node).tolist()
+                    for node, f in enumerate(tree.feature)
+                ],
+            }
+            for tree in forest.trees
+        ],
+    }

@@ -12,7 +12,7 @@ import pytest
 import graphcp as g
 from graphcp.experiments import run_recovery, run_storm_benchmark
 from graphcp.model import ParamPacker, likelihood_gradient
-from tests.support import NoiseSpec, iid_mean_function, simulate_iid
+from tests.support import NoiseSpec, iid_mean_function, simulate_iid, zero_response
 from tests.test_model import brute_excitation, fd_gradient, rand_instance
 
 
@@ -142,7 +142,7 @@ def _edgeless_pipeline_doc(seed):
         decay=np.full(k, 0.8),
         scale=np.full(k, 1.5),
         weather_decay=np.array([0.3]),
-        response=g.ResponseWeights.zeros(3, 1),
+        response=zero_response(3, 1),
         window=6,
     )
     scenario = g.ScenarioConfig(

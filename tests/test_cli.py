@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from graphcp.cli import cli_main
 from graphcp.conformal import read_interval_series
-from graphcp.model import ModelParams, ResponseWeights, load_params
+from graphcp.model import ModelParams, load_params
 from graphcp.pipeline import run_pipeline
 from graphcp.synth import GraphSpec, ScenarioConfig, WeatherSpec
+from tests.support import zero_response
 from tests.test_qrf import time_limit
 
 
@@ -27,7 +28,7 @@ def demo_scenario_doc(seed=0, k=5, t_total=180):
         decay=np.full(k, 0.9),
         scale=np.full(k, 1.2),
         weather_decay=np.array([0.3]),
-        response=ResponseWeights.zeros(3, 1),
+        response=zero_response(3, 1),
         window=6,
     )
     return ScenarioConfig(
@@ -571,6 +572,28 @@ def test_evaluate_nan_interval_exits_4(tmp_path, capsys, column):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["poisson,-1,-1,1.0,0.0,3.0,1.0"],
+        ["poisson,0,1,1.0,0.0,3.0,1.0", "poisson,0,1,1.0,0.0,3.0,2.0"],
+        ["poisson,0,1,1.0,0.0,3.0,-2.5"],
+    ],
+    ids=["negative_id", "repeated_cell", "negative_truth"],
+)
+def test_evaluate_rows_not_one_count_per_cell_exit_4(tmp_path, capsys, rows):
+    # each used to evaluate with exit 0: a node -1 wrote a per_node key
+    # that report rejects, and a repeated cell was counted twice
+    intervals = tmp_path / "intervals_poisson.csv"
+    intervals.write_text("\n".join(["method,node,time,point,lower,upper,y_true"] + rows) + "\n")
+    config = write_json(tmp_path / "eval.json", {"intervals_files": [str(intervals)]})
+    capsys.readouterr()
+    code = cli_main(["evaluate", "--config", config, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4 and len(err) == 1 and "DimensionMismatch" in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_of_memory_exits_3(tmp_path, capsys):
     # numpy's MemoryError used to escape cli_main with a traceback; 2**58
     # hidden units ask for 2 EiB, more than any address space, so the
@@ -617,6 +640,43 @@ def test_unknown_top_level_key_exits_2(tmp_path, capsys, command, flags, bad, ke
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and len(err) == 1 and f"unknown key(s) ['{key}']" in err[0], err
     assert not (tmp_path / "o").exists()
+
+
+def scenario_params(edit):
+    """A scenario override whose ``params`` document ``edit`` has changed."""
+    return scenario_edited(lambda doc: edit(doc["params"]))
+
+
+# each edit of a params document, the exit code it gives, and its stderr
+# text with {at} the document's path
+PARAMS_EDITS = {
+    "unknown": (lambda p: p.update(bogus=1), 2, "unknown key(s) ['{at}bogus']"),
+    "unknown_response": (lambda p: p["response"].update(bogus=1), 2,
+                         "unknown key(s) ['{at}response.bogus']"),
+    "string_header": (lambda p: p.update(n_nodes=99, hidden=-7, n_vars="x", bogus=1), 2,
+                      "{at}n_vars: expected int"),
+    "float_header": (lambda p: p.update(hidden=3.0), 2, "{at}hidden: expected int"),
+    "null_header": (lambda p: p.update(n_nodes=None), 2, "{at}n_nodes: expected int"),
+    "wrong_n_nodes": (lambda p: p.update(n_nodes=99), 4, "{at}n_nodes is 99, the arrays give 5"),
+    "wrong_hidden": (lambda p: p.update(hidden=-7), 4, "{at}hidden is -7, the arrays give"),
+    "wrong_n_vars": (lambda p: p.update(n_vars=2), 4, "{at}n_vars is 2, the arrays give 1"),
+}
+
+
+# the params document, alone or as a scenario's ``params``, ignored unknown
+# keys at every level and never read its header: a scenario with "n_nodes"
+# 99 for five nodes ran, and its scenario.json wrote 5
+@pytest.mark.parametrize("command", ["predict", "simulate", "pipeline"])
+@pytest.mark.parametrize("case", sorted(PARAMS_EDITS))
+def test_params_document_is_closed_and_its_header_checked(tmp_path, capsys, command, case):
+    edit, code, message = PARAMS_EDITS[case]
+    if command == "predict":
+        bad, at = edited_params(edit), "params."
+    else:
+        bad, at = scenario_params(edit), "scenario.params."
+    got, err = nonfinite_run(tmp_path, capsys, command, bad)
+    assert got == code and len(err) == 1 and message.format(at=at) in err[0], err
+    assert not list((tmp_path / "o").rglob("*.*"))
 
 
 # every subcommand used to accept --method, --alpha and --seed and ignore
@@ -967,6 +1027,16 @@ def places(source: Path) -> list:
     return list(range(len(source.read_text().splitlines()[0].split(","))))
 
 
+def mutated_rows(source: Path) -> list:
+    """An intervals file with its first data row repeated, and with that row
+    moved to node -1, time -1: neither has one row per cell."""
+    header, first, *rest = source.read_text().splitlines()
+    method, _, _, *values = first.split(",")
+    negative = ",".join([method, "-1", "-1", *values])
+    return ["\n".join(lines) + "\n" for lines in ([header, first, *rest, first],
+                                                   [header, negative, *rest])]
+
+
 def mutated_cell(source: Path, place, text: str, rng) -> str:
     """``source`` with the JSON value at ``place``, or the column ``place`` of
     a data row drawn from ``rng``, set to ``text``."""
@@ -990,17 +1060,23 @@ def mutated_cell(source: Path, place, text: str, rng) -> str:
 def test_mutated_data_file_exits_cleanly(valid_configs, tmp_path, capsys, command, key):
     # set one cell of a data, intervals or metrics file, in every column or
     # at every JSON value in turn, to a NaN, an infinity, an out-of-range
-    # number or a non-number; a NaN truth used to be written into metrics.json
+    # number or a non-number; a NaN truth used to be written into metrics.json.
+    # An intervals file also gets a repeated row and a negative id, which
+    # used to evaluate with exit 0 and must exit 4
     doc = copy.deepcopy(valid_configs[command])
     if isinstance(doc.get("params_file"), dict):
         doc["params_file"] = write_json(tmp_path / "params.json", doc["params_file"])
     files = doc[key] if key == "intervals_files" else [doc[key]]
     source = Path(files[0])
     rng = random.Random(key)
-    for n, (place, text) in enumerate(itertools.product(places(source), CELLS)):
+    cases = [(mutated_cell(source, place, text, rng), (place, text), (0, 2, 3, 4))
+             for place, text in itertools.product(places(source), CELLS)]
+    if key == "intervals_files":
+        cases += [(text, ("rows", i), (4,)) for i, text in enumerate(mutated_rows(source))]
+    for n, (text, mutant, codes) in enumerate(cases):
         case = tmp_path / str(n)
         case.mkdir()
-        (case / source.name).write_text(mutated_cell(source, place, text, rng))
+        (case / source.name).write_text(text)
         mutated = [str(case / source.name)] + files[1:]
         config = write_json(case / "config.json",
                             {**doc, key: mutated if key == "intervals_files" else mutated[0]})
@@ -1008,6 +1084,6 @@ def test_mutated_data_file_exits_cleanly(valid_configs, tmp_path, capsys, comman
         with time_limit(10):
             code = cli_main([command, "--config", config, "--out", str(case / "out")])
         err = capsys.readouterr().err
-        assert code in (0, 2, 3, 4), (command, key, place, text)
-        assert len(err.splitlines()) == (code != 0), (command, key, place, text, err)
-        assert not written_nan(case / "out"), (command, key, place, text)
+        assert code in codes, (command, key, mutant)
+        assert len(err.splitlines()) == (code != 0), (command, key, mutant, err)
+        assert not written_nan(case / "out"), (command, key, mutant)

@@ -26,10 +26,11 @@ from graphcp.conformal import (
     vanilla_cp,
 )
 from graphcp.errors import DegenerateData, DimensionMismatch, InsufficientHistory, UnknownMethod
-from graphcp.model import ModelParams, ResponseWeights, intensity
+from graphcp.model import ModelParams, intensity
 from graphcp.panel import ServiceGraph, split
 from graphcp.qrf import ForestConfig, fit_forest
 from graphcp.synth import GraphSpec, ScenarioConfig, WeatherSpec, simulate
+from tests.support import zero_response
 from tests.test_qrf import time_limit
 
 
@@ -217,7 +218,7 @@ def small_setup(seed=0, k=4, t_total=240, edges=((0, 1), (1, 2), (2, 3))):
         decay=np.full(k, 0.9),
         scale=np.full(k, 1.5),
         weather_decay=np.array([0.3]),
-        response=ResponseWeights.zeros(3, 1),
+        response=zero_response(3, 1),
         window=6,
     )
     config = ScenarioConfig(
@@ -286,7 +287,7 @@ def test_edgeless_graph_and_temporal_are_bit_identical():
         decay=np.full(k, 0.9),
         scale=np.full(k, 1.5),
         weather_decay=np.array([0.3]),
-        response=ResponseWeights.zeros(3, 1),
+        response=zero_response(3, 1),
         window=6,
     )
     kwargs = dict(
@@ -320,24 +321,31 @@ def test_run_conformal_warmup_too_short():
 
 
 def test_interval_series_rejects_crossed_bounds():
-    def series(lower=0.0, upper=2.0, y_true=0.0):
+    def series(lower=0.0, upper=2.0, y_true=0.0, node=(0,), time=(1,)):
+        n = len(node)
         return IntervalSeries(
             method="x",
-            node=np.array([0]),
-            time=np.array([1]),
-            point=np.array([1.0]),
-            lower=np.array([lower]),
-            upper=np.array([upper]),
-            y_true=np.array([y_true]),
+            node=np.array(node),
+            time=np.array(time),
+            point=np.full(n, 1.0),
+            lower=np.full(n, lower),
+            upper=np.full(n, upper),
+            y_true=np.full(n, y_true),
         )
 
-    # crossed bounds, NaN bounds and non-finite truths; NaN used to pass
+    # crossed bounds, NaN bounds and non-finite truths; NaN used to pass;
+    # so did negative ids, time 0, a repeated cell, and truths that are not
+    # counts, which evaluate then wrote into metrics.json
     for bad in (dict(lower=2.0, upper=1.0), dict(lower=math.nan), dict(upper=math.nan),
-                dict(y_true=math.nan), dict(y_true=math.inf)):
+                dict(y_true=math.nan), dict(y_true=math.inf), dict(node=(-1,)), dict(time=(0,)),
+                dict(node=(-1,), time=(-1,)), dict(node=(0, 0), time=(1, 1)),
+                dict(node=(0, 1, 0), time=(1, 1, 1)), dict(y_true=-2.5), dict(y_true=-1.0),
+                dict(y_true=0.5)):
         with pytest.raises(DimensionMismatch):
             series(**bad)
-    # infinite bounds stay legal
+    # infinite bounds stay legal, and so do rows in any order
     assert len(series(lower=-math.inf, upper=math.inf)) == 1
+    assert len(series(node=(1, 0, 1), time=(2, 2, 1), y_true=3.0)) == 3
 
 
 # ---------------------------------------------------------------- fork pool

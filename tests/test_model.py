@@ -23,6 +23,7 @@ from graphcp.model import (
     softplus_inv,
 )
 from graphcp.panel import PanelDataset, ServiceGraph
+from tests.support import zero_response
 
 
 def brute_cumulative(weather, rates, window):
@@ -59,7 +60,7 @@ def simple_params(graph, m_total=1, hidden=3, **overrides):
         decay=np.full(k, 0.8),
         scale=np.full(k, 1.0),
         weather_decay=np.full(m_total, 0.2),
-        response=ResponseWeights.zeros(hidden, m_total),
+        response=zero_response(hidden, m_total),
         window=4,
     )
     base.update(overrides)
@@ -100,7 +101,7 @@ def test_cumulative_weather_matches_brute_force():
 
 
 def test_zero_weights_give_log_two():
-    weights = ResponseWeights.zeros(8, 2)
+    weights = zero_response(8, 2)
     from graphcp.model import weather_response
 
     assert weather_response(np.zeros(2), weights) == pytest.approx(math.log(2.0))
@@ -128,7 +129,7 @@ def test_response_dimension_mismatch():
     from graphcp.model import weather_response
 
     with pytest.raises(DimensionMismatch):
-        weather_response(np.zeros(3), ResponseWeights.zeros(2, 2))
+        weather_response(np.zeros(3), zero_response(2, 2))
 
 
 # ------------------------------------------------------- excitation
@@ -297,6 +298,23 @@ def test_gradient_has_no_self_coupling_coordinate():
     assert packer.size == graph.n_edges + 2 * k + m + h * m + 2 * h + 1
 
 
+def test_coupling_that_omits_an_edge_reads_it_as_zero():
+    # likelihood_gradient and fit raised KeyError (1, 2) for a coupling that
+    # omits a graph edge, where log_likelihood read the edge as 0
+    rng = np.random.default_rng(23)
+    graph = ServiceGraph.from_edges(3, [(0, 1), (1, 2)])
+    panel = PanelDataset.build(rng.normal(size=(3, 30, 1)), rng.poisson(1.5, size=(3, 30)))
+    omitted = simple_params(graph, coupling={(0, 1): 0.3})
+    zeroed = simple_params(graph, coupling={(0, 1): 0.3, (1, 2): 0.0})
+    assert log_likelihood(panel, graph, omitted) == log_likelihood(panel, graph, zeroed)
+    got, want = (likelihood_gradient(panel, graph, p) for p in (omitted, zeroed))
+    assert got.tobytes() == want.tobytes()
+    config = FitConfig(learning_rate=0.01, epochs=3, batch_len=8, momentum=0.5)
+    got, want = (fit(panel, graph, p, config) for p in (omitted, zeroed))
+    assert got.params.to_dict() == want.params.to_dict()
+    assert got.checkpoints.tobytes() == want.checkpoints.tobytes()
+
+
 def test_gradient_zero_for_coupling_without_excitation():
     # zero counts and zero weather: excitation vanishes, so the coupling
     # block of the gradient must be exactly zero
@@ -432,3 +450,16 @@ def test_params_json_round_trip_is_bit_exact(tmp_path):
     # and the serialized text itself is a fixpoint
     save_params(loaded, tmp_path / "params2.json")
     assert path.read_bytes() == (tmp_path / "params2.json").read_bytes()
+
+
+def test_params_header_may_be_absent_but_must_match():
+    # the header keys were never read: "n_nodes": 99 loaded for four nodes
+    _, _, params = rand_instance(14)
+    doc = params.to_dict()
+    header = ("n_nodes", "n_vars", "hidden")
+    bare = {key: value for key, value in doc.items() if key not in header}
+    assert ModelParams.from_dict(bare).to_dict() == doc
+    for key in header:
+        message = f"params.{key} is {doc[key] + 1}, the arrays give {doc[key]}"
+        with pytest.raises(DimensionMismatch, match=message):
+            ModelParams.from_dict(dict(doc, **{key: doc[key] + 1}))

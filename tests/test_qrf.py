@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from graphcp.errors import DegenerateData, DimensionMismatch
 from graphcp.qrf import ForestConfig, fit_forest
-from tests.support import simulate_iid
+from tests.support import forest_weights, leaf_members, simulate_iid
 
 
 def empirical_lower_quantile(targets, level):
@@ -101,7 +101,7 @@ def test_weights_nonnegative_and_sum_to_one():
     y = rng.normal(size=120)
     forest = fit_forest(x, y, ForestConfig(n_trees=30, seed=8))
     for _ in range(20):
-        w = forest.weights(rng.normal(size=3))
+        w = forest_weights(forest, rng.normal(size=3))
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -187,7 +187,7 @@ def leaf_rows(forest):
     """Sorted member rows of every leaf of the forest's single tree."""
     tree = forest.trees[0]
     return sorted(
-        tree.leaf_members(node).tolist() for node in np.flatnonzero(tree.feature < 0)
+        leaf_members(tree, node).tolist() for node in np.flatnonzero(tree.feature < 0)
     )
 
 
@@ -245,7 +245,7 @@ def assert_partitions(tree, x, min_leaf):
         node, rows = stack.pop()
         f = tree.feature[node]
         if f < 0:
-            assert tree.leaf_members(node).tolist() == rows.tolist()
+            assert leaf_members(tree, node).tolist() == rows.tolist()
             assert node == 0 or rows.shape[0] >= min_leaf
             continue
         left = x[rows, f] <= tree.threshold[node]

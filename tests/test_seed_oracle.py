@@ -69,6 +69,7 @@ from graphcp.panel import (
     write_panel,
 )
 from graphcp.qrf import ForestConfig, fit_forest
+from tests.support import forest_debug_dict, forest_weights
 from tests.test_conformal import small_setup
 
 _LEVEL_SLACK = 1e-9
@@ -347,7 +348,7 @@ def test_array_trees_match_oracle_structure_and_quantiles(kind):
         config = ForestConfig(seed=trial, **params)
         forest = fit_forest(x, y, config)
         oracle = OracleForest(x, y, config)
-        assert forest.to_debug_dict() == oracle.to_debug_dict()
+        assert forest_debug_dict(forest) == oracle.to_debug_dict()
 
         queries = np.concatenate([x[: min(len(x), 20)], rng.normal(size=(20, x.shape[1]))])
         if kind == "ties":
@@ -357,7 +358,7 @@ def test_array_trees_match_oracle_structure_and_quantiles(kind):
         np.testing.assert_array_equal(forest.quantile(queries[0], levels), expected[0])
         assert forest.quantile(queries[1], 0.5) == float(expected[1, 2])
         np.testing.assert_array_equal(
-            forest.weights(queries), np.array([oracle.weights(q) for q in queries])
+            forest_weights(forest, queries), np.array([oracle.weights(q) for q in queries])
         )
 
 
@@ -369,16 +370,16 @@ def test_bootstrap_duplicates_weighted_like_oracle():
     config = ForestConfig(n_trees=7, min_leaf=1, seed=5)
     forest = fit_forest(x, y, config)
     oracle = OracleForest(x, y, config)
-    assert forest.to_debug_dict() == oracle.to_debug_dict()
+    assert forest_debug_dict(forest) == oracle.to_debug_dict()
     assert any(
         len(set(m)) < len(m)
-        for tree in forest.to_debug_dict()["trees"]
+        for tree in forest_debug_dict(forest)["trees"]
         for m in tree["leaf_members"]
         if m is not None
     )
     queries = rng.normal(size=(30, 2))
     np.testing.assert_array_equal(
-        forest.weights(queries), np.array([oracle.weights(q) for q in queries])
+        forest_weights(forest, queries), np.array([oracle.weights(q) for q in queries])
     )
 
 

@@ -7,7 +7,7 @@ from scipy import stats
 
 from graphcp.errors import DimensionMismatch, ExplosiveConfig
 from graphcp.experiments import recovery_scenario, storm_scenario
-from graphcp.model import ModelParams, ResponseWeights
+from graphcp.model import ModelParams
 from graphcp.synth import GraphSpec, ScenarioConfig, StormPulse, WeatherSpec, simulate
 from tests.test_cli import demo_scenario_doc
 from tests.support import (
@@ -17,6 +17,7 @@ from tests.support import (
     iid_mean_function,
     simulate_iid,
     spectral_radius,
+    zero_response,
 )
 
 
@@ -26,7 +27,7 @@ def flat_params(k, coupling_value=0.0, edges=(), scale=1.0, decay=0.8, response=
         decay=np.full(k, decay),
         scale=np.full(k, scale),
         weather_decay=np.array([0.2]),
-        response=response or ResponseWeights.zeros(3, 1),
+        response=response or zero_response(3, 1),
         window=4,
     )
 
@@ -92,7 +93,7 @@ def test_explosive_config_raises():
         decay=np.full(3, 0.05),
         scale=np.full(3, 5.0),
         weather_decay=np.array([0.2]),
-        response=ResponseWeights.zeros(3, 1),
+        response=zero_response(3, 1),
         window=4,
     )
     config = ScenarioConfig(
