@@ -18,7 +18,9 @@ import sys
 import numpy as np
 
 from .conformal import read_interval_series, run_conformal
-from .errors import ConfigError, GraphCPError, ListOf, ValidationError, coerce, done, take
+from .errors import (
+    AlignmentError, ConfigError, GraphCPError, ListOf, ValidationError, coerce, done, take,
+)
 from .evaluate import coverage_metrics
 from .model import fit, init_params, intensity, load_params
 from .panel import load_graph, load_panel, read_json, split
@@ -114,9 +116,15 @@ def _cmd_evaluate(args, doc: dict) -> int:
     files = take(doc, "intervals_files", list, where=f"{args.config}: ")
     # alpha comes from the conformal section, read whole; no forest is grown here
     _, kwargs = conformal_settings(doc, 0, args.alpha)
-    reports = {}
+    reports, paths = {}, {}
     for file in files:
-        series = read_interval_series(coerce(str, file, "intervals_files"))
+        path = coerce(str, file, "intervals_files")
+        series = read_interval_series(path)
+        if series.method in paths:
+            raise AlignmentError(
+                f"{path}: method {series.method!r} already read from {paths[series.method]}"
+            )
+        paths[series.method] = path
         reports[series.method] = coverage_metrics(series)
     write_metrics(args.out, kwargs["alpha"], reports)
     return 0

@@ -382,17 +382,16 @@ def _rebound() -> bool:
 def _in_order(task, items, workers: int) -> list:
     """``[task(item) for item in items]``, spread over ``workers`` forked processes.
 
-    Workers inherit ``task`` and ``items``; only indices and results cross
-    the pipes.  Each idle worker gets the next index, and results are used
-    in item order, so the first item whose task raises raises its error
-    here, as the plain loop would; no new index is handed out after an
-    error.  A worker that dies raises ChildProcessError.  On every exit the
+    Worker ``w`` inherits ``task`` and ``items`` and runs ``items[w::workers]``
+    in order, sending each result down a pipe of its own, so item ``i`` is
+    read from pipe ``i % workers`` and results arrive in item order.  The
+    first item whose task raises raises its error here, as the plain loop
+    would.  A worker that dies raises ChildProcessError.  On every exit the
     workers are stopped and joined.  The plain loop runs for one worker,
     where ``fork`` is missing, and in a daemon process, which may not have
     children.
     """
     import multiprocessing
-    from multiprocessing.connection import wait
 
     if (
         workers <= 1
@@ -401,74 +400,55 @@ def _in_order(task, items, workers: int) -> list:
     ):
         return [task(item) for item in items]
     context = multiprocessing.get_context("fork")
-    ends, processes, busy = [], {}, set()
+    ends, processes = [], []
     try:
-        for _ in range(workers):
-            ours, theirs = context.Pipe()
+        for w in range(workers):
+            ours, theirs = context.Pipe(duplex=False)
             ends.append(ours)
             process = context.Process(
-                target=_serve, args=(task, items, theirs, list(ends)), daemon=True
+                target=_serve, args=(task, items[w::workers], theirs, list(ends)), daemon=True
             )
             process.start()
             theirs.close()  # so that the worker's death reads as EOF here
-            processes[ours] = process
-        todo, done, failed = iter(range(len(items))), {}, False
-
-        def hand_out(end):
-            index = next(todo, None)
-            if index is not None and not failed:
-                end.send(index)
-                busy.add(end)
-
-        for end in ends:
-            hand_out(end)
+            processes.append(process)
         results = []
         for index in range(len(items)):
-            while index not in done:
-                for end in wait(busy):
-                    try:
-                        finished, result, error = end.recv()
-                    except EOFError:
-                        process = processes[end]
-                        process.join()
-                        raise ChildProcessError(
-                            f"pool worker {process.pid} exited with code {process.exitcode}"
-                        ) from None
-                    busy.remove(end)
-                    done[finished] = result, error
-                    failed = failed or error is not None
-                    hand_out(end)
-            result, error = done.pop(index)
+            try:
+                result, error = ends[index % workers].recv()
+            except EOFError:
+                process = processes[index % workers]
+                process.join()
+                raise ChildProcessError(
+                    f"pool worker {process.pid} exited with code {process.exitcode}"
+                ) from None
             if error is not None:
                 raise error
             results.append(result)
         return results
     finally:
-        for end in busy:
-            processes[end].terminate()
+        for process in processes:
+            process.terminate()
         for end in ends:
-            end.close()  # an idle worker reads EOF and returns
-        for process in processes.values():
+            end.close()
+        for process in processes:
             process.join()
 
 
 def _serve(task, items, pipe, caller_ends) -> None:
-    """A pool worker: answer each index sent down ``pipe`` until it closes."""
+    """A pool worker: send each item's ``(result, error)`` down ``pipe``, up to the first error."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the pool
-    for end in caller_ends:  # so that the caller's death reads as EOF here
+    for end in caller_ends:  # so that the caller's death breaks the pipe here
         end.close()
-    while True:
+    for item in items:
         try:
-            index = pipe.recv()
-        except EOFError:  # the caller is done, or has died
-            return
-        try:
-            answer = index, task(items[index]), None
+            answer = task(item), None
         except Exception as exc:
-            answer = index, None, exc
+            answer = None, exc
         try:
             pipe.send(answer)
         except BrokenPipeError:  # the caller has died
+            return
+        if answer[1] is not None:
             return
 
 

@@ -228,9 +228,10 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "params.") -> "ModelParams":
-        """Parse ``to_dict`` output; a missing, unknown or wrong-typed key raises
-        ConfigError naming it, prefixed by ``where``.  A header key may be absent,
-        and one that disagrees with the arrays raises DimensionMismatch."""
+        """Parse ``to_dict`` output; a missing, unknown or wrong-typed key, or a
+        repeated coupling edge, raises ConfigError naming it, prefixed by ``where``.
+        A header key may be absent, and one that disagrees with the arrays raises
+        DimensionMismatch."""
         doc = dict(doc)
         header = {key: take(doc, key, int, where=where) for key in ("n_nodes", "n_vars", "hidden")
                   if key in doc}
@@ -240,7 +241,10 @@ class ModelParams:
             if not isinstance(row, list) or len(row) != 3:
                 raise ConfigError(f"{at}: expected [src, dst, value], got {row!r}")
             src, dst, value = row
-            coupling[coerce(int, src, at), coerce(int, dst, at)] = coerce(float, value, at)
+            edge = coerce(int, src, at), coerce(int, dst, at)
+            if edge in coupling:
+                raise ConfigError(f"{at}: repeats the edge {list(edge)}")
+            coupling[edge] = coerce(float, value, at)
         kinds = dict(coupling=dict, decay=float_array, scale=float_array,
                      weather_decay=float_array, response=ResponseWeights, window=int, seed=int)
         params = read_fields(cls, dict(doc, coupling=coupling), kinds, where)

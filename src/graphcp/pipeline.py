@@ -123,6 +123,10 @@ def conformal_settings(doc: dict, seed: int, alpha=None, method=None) -> tuple:
         "forest_config": replace(forest, seed=seed + 3),
     }
     done(section, at)
+    # run_conformal checks these too, but only after simulate and fit have run
+    for key, low in (("window", 1), ("calib_window", kwargs["window"] + 1), ("retrain_stride", 1)):
+        if kwargs[key] is not None and kwargs[key] < low:
+            raise ConfigError(f"{at}{key} must be >= {low}, got {kwargs[key]}")
     return methods, kwargs
 
 

@@ -540,6 +540,12 @@ UNKNOWN_SCENARIO_KEYS = [
         ("conformal", {"conformal": {"methods": ["poisson", "poisson"]}}),
         # a NaN width used to win the winner table
         ("report", metrics_file(lambda m: m["methods"]["graph"].update(mean_width=math.nan))),
+    ]
+    # run_conformal rejected these ranges, with exit 4, after simulate and fit had run
+    + [
+        (command, {"conformal": {"methods": ["poisson"], **bad}})
+        for command in ("conformal", "pipeline")
+        for bad in ({"retrain_stride": 0}, {"window": 0}, {"window": 4, "calib_window": 4})
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
@@ -591,6 +597,25 @@ def test_evaluate_rows_not_one_count_per_cell_exit_4(tmp_path, capsys, rows):
     code = cli_main(["evaluate", "--config", config, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err.splitlines()
     assert code == 4 and len(err) == 1 and "DimensionMismatch" in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_repeated_method_exits_4(tmp_path, capsys):
+    # the reports were keyed by method, so the second file of a method
+    # replaced the first: exit 0 with n_cells 1 and its coverage alone
+    files = []
+    for time in (1, 2):
+        path = tmp_path / f"intervals_{time}.csv"
+        path.write_text(
+            f"method,node,time,point,lower,upper,y_true\npoisson,0,{time},1.0,0.0,3.0,1.0\n"
+        )
+        files.append(str(path))
+    config = write_json(tmp_path / "eval.json", {"intervals_files": files})
+    capsys.readouterr()
+    code = cli_main(["evaluate", "--config", config, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4 and len(err) == 1 and "AlignmentError" in err[0], err
+    assert files[0] in err[0] and files[1] in err[0], err
     assert not (tmp_path / "o").exists()
 
 
@@ -660,6 +685,9 @@ PARAMS_EDITS = {
     "wrong_n_nodes": (lambda p: p.update(n_nodes=99), 4, "{at}n_nodes is 99, the arrays give 5"),
     "wrong_hidden": (lambda p: p.update(hidden=-7), 4, "{at}hidden is -7, the arrays give"),
     "wrong_n_vars": (lambda p: p.update(n_vars=2), 4, "{at}n_vars is 2, the arrays give 1"),
+    # the last row of an edge used to replace the earlier ones
+    "repeated_coupling": (lambda p: p["coupling"].append([0, 1, 0.9]), 2,
+                          "{at}coupling[4]: repeats the edge [0, 1]"),
 }
 
 

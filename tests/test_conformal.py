@@ -430,6 +430,50 @@ def test_an_error_stops_the_busy_workers():
     assert multiprocessing.active_children() == []
 
 
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_dead_callers_workers_exit():
+    # a caller killed mid-run, as by the OOM killer, leaves no worker
+    # behind: each exits at its next send
+    reader, writer = multiprocessing.Pipe(duplex=False)
+
+    def task(item):
+        writer.send(os.getpid())
+        time.sleep(1)
+
+    caller = multiprocessing.get_context("fork").Process(
+        target=_in_order, args=(task, list(range(20)), 2)
+    )
+    caller.start()
+    writer.close()
+    workers = set()
+    try:
+        with time_limit(5):
+            while len(workers) < 2:
+                workers.add(reader.recv())
+        os.kill(caller.pid, signal.SIGKILL)
+        caller.join()
+        deadline = time.monotonic() + 5
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in workers)
+    finally:
+        for pid in workers:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+        caller.kill()
+        caller.join()
+    assert multiprocessing.active_children() == []
+
+
 def test_a_rebound_forest_step_runs_in_this_process(monkeypatch):
     # a profiler or a spy that wraps fit_forest records calls in the caller
     # only, so the forests are grown here, with the same bounds
