@@ -264,8 +264,10 @@ def run_conformal(
         raise InsufficientHistory(
             f"calibration range has {cal_len} steps, cannot warm up {calib_window}"
         )
-    stride = None if retrain_stride is None else int(retrain_stride)
-    if stride is not None and stride < 1:
+    test_lo, test_hi = data_split.test
+    n_test = test_hi - test_lo + 1
+    stride = n_test if retrain_stride is None else int(retrain_stride)
+    if stride < 1:
         raise DimensionMismatch(f"retrain_stride must be >= 1, got {retrain_stride}")
 
     window = int(window)
@@ -274,8 +276,6 @@ def run_conformal(
     rates = intensity(panel, graph, params)
     counts = panel.counts
     k = panel.n_nodes
-    test_lo, test_hi = data_split.test
-    n_test = test_hi - test_lo + 1
     points = rates[:, test_lo - 1 : test_hi]
     # Every residual the walk ingests is known up front: at test step s the
     # per-node buffers hold resid[:, s : s + calib_window], the warm-up
@@ -335,7 +335,7 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
     lags = np.lib.stride_tricks.sliding_window_view(resid, window, axis=1)[:, :, ::-1]
     offset = calib_window - window
     levels = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
-    starts = [0] if stride is None else list(range(0, n_test, stride))
+    starts = list(range(0, n_test, stride))
     rounds = list(zip(starts, starts[1:] + [n_test]))
     tasks = [(refit, j) for refit in range(len(rounds)) for j in range(k)]
 

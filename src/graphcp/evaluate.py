@@ -222,19 +222,13 @@ def winner_table(
     )
 
 
-def violin_export(reports, path=None):
-    """Long-format per-node coverage rows ``(method, node, coverage)``.
-
-    Returns the rows; also writes them as CSV when ``path`` is given.
-    """
-    reports = list(reports)
-    rows = []
-    for report in reports:
-        for node in sorted(report.per_node):
-            rows.append((report.method, node, report.per_node[node].coverage))
+def violin_export(reports, path) -> None:
+    """Write long-format per-node coverage rows ``method,node,coverage`` to ``path``."""
+    rows = [
+        f"{report.method},{node},{report.per_node[node].coverage!r}\n"
+        for report in reports
+        for node in sorted(report.per_node)
+    ]
     if not rows:
         raise NoEligibleNodes("no per-node coverage values to export")
-    if path is not None:
-        lines = (f"{method},{node},{coverage!r}\n" for method, node, coverage in rows)
-        write_csv(path, "method,node,coverage\n", lines)
-    return rows
+    write_csv(path, "method,node,coverage\n", rows)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FitConfig, ModelParams, ResponseWeights, fit, init_params
-from .pipeline import run_stages
+from .model import ModelParams, ResponseWeights, fit, init_params
+from .pipeline import fit_settings, run_stages
 from .synth import GraphSpec, ScenarioConfig, StormPulse, WeatherSpec, simulate
 
 __all__ = [
@@ -79,26 +79,18 @@ class RecoveryResult:
 
 
 def run_recovery(seed: int, epochs: int = 60) -> RecoveryResult:
-    """Simulate from the known truth, refit from scratch, report relative errors."""
+    """Simulate from the known truth, refit from scratch with the pipeline's fit
+    settings and seeds, report relative errors."""
     start = time.time()
     scenario = recovery_scenario(seed)
     graph = scenario.graph.build()
     panel = simulate(scenario)
-    init = init_params(
-        graph, 2, hidden=_RECOVERY_HIDDEN, window=_RECOVERY_WINDOW, seed=seed + 1
+    init_kwargs, fit_config = fit_settings(
+        {"fit": {"hidden": _RECOVERY_HIDDEN, "window": _RECOVERY_WINDOW, "learning_rate": 2e-2,
+                 "epochs": epochs, "batch_len": 128, "momentum": 0.9}},
+        seed,
     )
-    result = fit(
-        panel,
-        graph,
-        init,
-        FitConfig(
-            learning_rate=2e-2,
-            epochs=epochs,
-            batch_len=128,
-            momentum=0.9,
-            seed=seed + 2,
-        ),
-    )
+    result = fit(panel, graph, init_params(graph, panel.n_vars, **init_kwargs), fit_config)
     truth = scenario.params
     fitted = result.params
     decay_err = np.abs(fitted.decay - truth.decay) / truth.decay

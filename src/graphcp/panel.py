@@ -68,7 +68,7 @@ class ServiceGraph:
     extensions); they default to 1.0.
     """
 
-    node_ids: tuple[int, ...]
+    n_nodes: int
     edges: tuple[tuple[int, int, float], ...]
     neighbors: tuple[frozenset[int], ...] = field(repr=False)
 
@@ -119,18 +119,10 @@ class ServiceGraph:
         for src, dst, _ in norm:
             nbrs[dst].add(src)
         return cls(
-            node_ids=tuple(range(n_nodes)),
+            n_nodes=n_nodes,
             edges=tuple(norm),
             neighbors=tuple(frozenset(s) for s in nbrs),
         )
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
     def neighborhood(self, node: int) -> frozenset[int]:
         """N(node): influence sources plus the node itself."""
@@ -387,18 +379,16 @@ def _dense(path, rows, shape, cells, ordered, values: np.ndarray) -> np.ndarray:
     return dense.reshape(shape)
 
 
-def load_graph(edge_file: "str | Path", n_nodes: "int | None" = None) -> ServiceGraph:
-    """Read an edge-list CSV (header ``src,dst[,weight]``) into a ServiceGraph.
+def load_graph(edge_file: "str | Path", n_nodes: int) -> ServiceGraph:
+    """Read an edge-list CSV (header ``src,dst[,weight]``) over nodes 0..n_nodes-1.
 
-    The file carries no node universe of its own: pass ``n_nodes`` to allow
-    isolated nodes and a file without edges; otherwise K is inferred as
-    ``max node index + 1``.  Without a weight column every weight is 1.0.
+    The file carries no node universe of its own, so isolated nodes and a
+    header-only file (no edges) are allowed.  Without a weight column every
+    weight is 1.0.
     """
-    rows = read_table(edge_file, _EDGE_ROW, optional_last=True, empty_ok=n_nodes is not None)
+    rows = read_table(edge_file, _EDGE_ROW, optional_last=True, empty_ok=True)
     src, dst = rows["src"].tolist(), rows["dst"].tolist()
     weights = rows["weight"].tolist() if "weight" in rows.dtype.names else [1.0] * len(src)
-    if n_nodes is None:
-        n_nodes = 1 + max(max(src), max(dst))
     return ServiceGraph.from_edges(n_nodes, list(zip(src, dst, weights)))
 
 

@@ -131,10 +131,12 @@ def conformal_settings(doc: dict, seed: int, alpha=None, method=None) -> tuple:
 
 
 def outage_threshold(doc: dict) -> float:
-    """The ``evaluate`` section's ``outage_threshold`` (default 50)."""
+    """The ``evaluate`` section's ``outage_threshold`` (default 50), at least 0."""
     section = take(doc, "evaluate", dict, {})
     threshold = take(section, "outage_threshold", float, 50.0, "evaluate.")
     done(section, "evaluate.")
+    if threshold < 0:
+        raise ConfigError(f"evaluate.outage_threshold must be >= 0, got {threshold}")
     return threshold
 
 

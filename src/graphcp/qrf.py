@@ -15,13 +15,14 @@ row lists stably, and all candidate features of a node are scored in one
 matrix.  The rows, their order and the running sums are those of a
 per-node stable sort, so trees do not depend on this bookkeeping.
 
-Queries are batched.  ``FittedForest.quantile`` takes one ``(p,)`` query or
-a ``(Q, p)`` block; every tree routes all queries at once, level by level.
+Queries are batched.  ``FittedForest.quantile`` takes a ``(Q, p)`` block of
+queries and a 1-D array of levels and returns a ``(Q, L)`` array; every tree
+routes all queries at once, level by level.
 The weights of a chunk of queries are accumulated into a dense
 ``(chunk, n)`` block with one ``np.add.at`` per tree, trees in order and a
-leaf's members in order, so each weight receives exactly the additions a
-single query would, in the same order: batched and one-at-a-time results
-are bit-identical.
+leaf's members in order, so each weight receives exactly the additions it
+would as a one-row block, in the same order: each row of a block's result
+is bit-identical to that row queried alone.
 
 Determinism: per-tree RNGs derive from the config seed, candidate features
 are sampled without replacement, ties in split quality resolve to the
@@ -104,19 +105,6 @@ class FittedForest:
     def n_samples(self) -> int:
         return self.targets.shape[0]
 
-    def _query_block(self, query) -> "tuple[np.ndarray, bool]":
-        """A (Q, p) float block and whether the input was a single query."""
-        queries = np.asarray(query, dtype=np.float64)
-        single = queries.ndim <= 1
-        if single:
-            queries = queries.reshape(1, -1)
-        if queries.ndim != 2 or queries.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"query of shape {np.shape(query)} does not have the forest's "
-                f"{self.n_features} features"
-            )
-        return queries, single
-
     def _leaves(self, queries: np.ndarray) -> np.ndarray:
         """(n_trees, Q) leaf ids of a query block."""
         return np.stack([tree.leaves(queries) for tree in self.trees])
@@ -136,16 +124,17 @@ class FittedForest:
             np.add.at(flat, np.repeat(row_base, size) + members, np.repeat(per_tree / size, size))
         return w
 
-    def quantile(self, query, level):
-        """Conditional quantile(s) at one or more levels in (0, 1).
-
-        One (p,) query gives a float per scalar level or an (L,) array; a
-        (Q, p) block gives (Q,) or (Q, L).
-        """
-        levels = np.atleast_1d(np.asarray(level, dtype=np.float64))
-        if np.any(levels <= 0) or np.any(levels >= 1):
-            raise DimensionMismatch(f"levels must lie in (0, 1), got {level}")
-        queries, single = self._query_block(query)
+    def quantile(self, queries, levels) -> np.ndarray:
+        """(Q, L) conditional quantiles of a (Q, p) query block at 1-D levels in (0, 1)."""
+        queries = np.asarray(queries, dtype=np.float64)
+        levels = np.asarray(levels, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.n_features or levels.ndim != 1:
+            raise DimensionMismatch(
+                f"queries {queries.shape} and levels {levels.shape} are not a "
+                f"(Q, {self.n_features}) block and a 1-D array"
+            )
+        if not np.all((levels > 0) & (levels < 1)):  # NaN too
+            raise DimensionMismatch(f"levels must lie in (0, 1), got {levels}")
         leaves = self._leaves(queries)
         n = self.n_samples
         values = np.empty((queries.shape[0], levels.shape[0]))
@@ -157,10 +146,6 @@ class FittedForest:
                 # searchsorted would return
                 idx = np.minimum(np.count_nonzero(cum < target, axis=1), n - 1)
                 values[lo : lo + chunk, i] = self.targets[self._order[idx]]
-        if single:
-            values = values[0]
-        if np.isscalar(level) or np.ndim(level) == 0:
-            return float(values[0]) if single else values[:, 0]
         return values
 
 
@@ -258,8 +243,6 @@ def fit_forest(features, targets, config: "ForestConfig | None" = None) -> Fitte
     config = config or ForestConfig()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise DegenerateData(
             f"features {x.shape} and targets {y.shape} are not an aligned (n, p) / (n,)"

@@ -112,8 +112,8 @@ class GraphSpec:
             # hub 0 influences every leaf
             return ServiceGraph.from_edges(k, [(0, j) for j in range(1, k)])
         if self.kind == "grid":
-            rows = self.grid_rows or int(np.floor(np.sqrt(k)))
-            if k % rows != 0:
+            rows = int(np.floor(np.sqrt(k))) if self.grid_rows is None else self.grid_rows
+            if rows < 1 or k % rows != 0:
                 raise DimensionMismatch(f"grid with {k} nodes and {rows} rows")
             cols = k // rows
             edges = []

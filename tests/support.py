@@ -95,14 +95,10 @@ def leaf_members(tree, node: int) -> np.ndarray:
     return tree.members[start : start + tree.leaf_size[node]]
 
 
-def forest_weights(forest, query) -> np.ndarray:
-    """Meinshausen weights over the training rows; nonnegative, sum to 1.
-
-    One (p,) query gives an (n,) vector, a (Q, p) block a (Q, n) matrix.
-    """
-    queries, single = forest._query_block(query)
-    w = forest._weight_block(forest._leaves(queries))
-    return w[0] if single else w
+def forest_weights(forest, queries) -> np.ndarray:
+    """(Q, n) Meinshausen weights of a (Q, p) query block; each row is
+    nonnegative and sums to 1."""
+    return forest._weight_block(forest._leaves(np.asarray(queries, dtype=np.float64)))
 
 
 def forest_debug_dict(forest) -> dict:

@@ -102,9 +102,9 @@ def test_c5_qrf_sort_oracle_equivalence():
             targets,
             g.ForestConfig(n_trees=1, max_depth=0, bootstrap=False, seed=trial),
         )
-        query = rng.normal(size=2)
+        query = rng.normal(size=(1, 2))
         for p in (0.05, 0.25, 0.5, 0.75, 0.95):
-            if forest.quantile(query, p) != empirical_lower_quantile(targets, p):
+            if forest.quantile(query, [p])[0, 0] != empirical_lower_quantile(targets, p):
                 mismatches += 1
     report(5, "qrf-depth0-sort-oracle", mismatches == 0,
            f"{mismatches} mismatches over 50 target sets x 5 levels")

@@ -546,6 +546,13 @@ UNKNOWN_SCENARIO_KEYS = [
         (command, {"conformal": {"methods": ["poisson"], **bad}})
         for command in ("conformal", "pipeline")
         for bad in ({"retrain_stride": 0}, {"window": 0}, {"window": 4, "calib_window": 4})
+    ]
+    # a negative threshold exited 4 from winner_table after pipeline had
+    # written every stage's files, and report violin.csv
+    + [
+        ("pipeline", {"evaluate": {"outage_threshold": -1.0}}),
+        ("report", lambda doc, tmp: {**metrics_file(lambda m: None)(doc, tmp),
+                                     "evaluate": {"outage_threshold": -1.0}}),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, command, bad):
@@ -771,12 +778,18 @@ def huge_rates(doc):
     doc["params"]["scale"] = [1e30] * len(doc["params"]["scale"])
 
 
+def negative_grid_rows(doc):
+    doc["graph"] = {"kind": "grid", "n_nodes": 5, "grid_rows": -5}
+    doc["params"]["coupling"] = []
+
+
 # a five-step pulse of amplitude 1e308 overflows the cumulative weather to
 # inf, which the demo's zero response weights turn into a NaN rate:
 # rng.poisson raised ValueError out of cli_main; a pulse variable of -1 hit
 # variable M - 1 and exited 0; rates above the Poisson sampler's limit
-# (about 9.2e18) under a large cap raised "lam value too large", and a
-# weather tensor of 2^63 bytes or more "array is too big"
+# (about 9.2e18) under a large cap raised "lam value too large", a
+# weather tensor of 2^63 bytes or more "array is too big", and a negative
+# grid_rows built a grid without edges and exited 0
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
 @pytest.mark.parametrize(
     "edit, error",
@@ -785,8 +798,9 @@ def huge_rates(doc):
         (pulse(variable=-1), "DimensionMismatch"),
         (huge_rates, "ExplosiveConfig"),
         (lambda doc: doc.update(n_steps=2**62), "DimensionMismatch"),
+        (negative_grid_rows, "DimensionMismatch"),
     ],
-    ids=["nan_rate", "negative_variable", "poisson_limit", "huge_weather"],
+    ids=["nan_rate", "negative_variable", "poisson_limit", "huge_weather", "negative_grid_rows"],
 )
 def test_invalid_scenario_exits_4(tmp_path, capsys, command, edit, error):
     code, err = nonfinite_run(tmp_path, capsys, command, scenario_edited(edit))

@@ -164,7 +164,7 @@ def forest_interval(buffered, node, pool, window, config, alpha, point):
     freshest ``window`` residuals (newest first), widen around ``point``."""
     features, targets = build_qrf_training_set(buffered, pool, window)
     forest = fit_forest(features, targets, config)
-    q = forest.quantile(buffered[node, ::-1][:window], np.array([alpha / 2, 1 - alpha / 2]))
+    q = forest.quantile(buffered[node, ::-1][None, :window], [alpha / 2, 1 - alpha / 2])[0]
     return point + q[0], point + q[1]
 
 

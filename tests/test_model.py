@@ -292,10 +292,10 @@ def test_gradient_has_no_self_coupling_coordinate():
     packer = ParamPacker(graph, params.n_vars, params.response.hidden_units)
     assert all(src != dst for src, dst in packer.edge_order)
     coupling = packer.slices["coupling"]
-    assert coupling.stop - coupling.start == graph.n_edges
+    assert coupling.stop - coupling.start == len(graph.edges)
     k, m, h = graph.n_nodes, params.n_vars, params.response.hidden_units
     # coupling, decay, scale, weather decay, then the response weights
-    assert packer.size == graph.n_edges + 2 * k + m + h * m + 2 * h + 1
+    assert packer.size == len(graph.edges) + 2 * k + m + h * m + 2 * h + 1
 
 
 def test_coupling_that_omits_an_edge_reads_it_as_zero():

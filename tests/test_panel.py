@@ -87,7 +87,7 @@ def test_neighborhood_sizes_sum_to_nodes_plus_edges(n_nodes, pair_ids):
         edges.append((src, dst, 1.0))
     graph = ServiceGraph.from_edges(n_nodes, edges)
     total = sum(len(graph.neighborhood(i)) for i in range(n_nodes))
-    assert total == n_nodes + graph.n_edges
+    assert total == n_nodes + len(graph.edges)
 
 
 @given(
@@ -122,17 +122,18 @@ def test_load_graph_requires_node_count_for_isolated_nodes(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("src,dst,weight\n0,1,1.0\n")
     assert load_graph(path, n_nodes=3).n_nodes == 3
-    assert load_graph(path).n_nodes == 2
+    path.write_text("src,dst,weight\n")
+    assert load_graph(path, n_nodes=2).edges == ()
 
 
 def test_load_graph_malformed_rows(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("src,dst\n0,x\n")
     with pytest.raises(MalformedRow):
-        load_graph(path)
+        load_graph(path, n_nodes=2)
     path.write_text("foo,bar\n0,1\n")
     with pytest.raises(MalformedRow):
-        load_graph(path)
+        load_graph(path, n_nodes=2)
 
 
 # ---------------------------------------------------------------- panel

@@ -30,22 +30,21 @@ def test_single_row_gives_single_leaf():
     for tree in forest.trees:
         assert tree.feature[0] == -1
     for p in (0.05, 0.5, 0.95):
-        assert forest.quantile(np.zeros(2), p) == 7.0
+        assert forest.quantile(np.zeros((1, 2)), [p])[0, 0] == 7.0
 
 
 def test_constant_targets_constant_quantiles():
     rng = np.random.default_rng(0)
     forest = fit_forest(rng.normal(size=(40, 3)), np.full(40, 2.5), ForestConfig(n_trees=5, seed=2))
     for p in (0.1, 0.5, 0.9):
-        assert forest.quantile(rng.normal(size=3), p) == 2.5
+        assert forest.quantile(rng.normal(size=(1, 3)), [p])[0, 0] == 2.5
 
 
 def test_step_data_split_recovers_levels():
     x = np.array([[-2.0], [-1.5], [-1.0], [-0.5], [0.0], [0.5], [1.0], [1.5]])
     y = np.where(x[:, 0] < 0, 0.0, 10.0)
     forest = fit_forest(x, y, ForestConfig(n_trees=7, min_leaf=1, bootstrap=False, seed=3))
-    assert forest.quantile(np.array([-1.0]), 0.5) == 0.0
-    assert forest.quantile(np.array([1.0]), 0.5) == 10.0
+    assert forest.quantile(np.array([[-1.0], [1.0]]), [0.5]).tolist() == [[0.0], [10.0]]
 
 
 def test_empty_and_nan_inputs_rejected():
@@ -70,7 +69,7 @@ def test_deterministic_given_seed():
     y = rng.normal(size=60)
     f1 = fit_forest(x, y, ForestConfig(n_trees=10, seed=5))
     f2 = fit_forest(x, y, ForestConfig(n_trees=10, seed=5))
-    q = rng.normal(size=4)
+    q = rng.normal(size=(1, 4))
     levels = np.linspace(0.05, 0.95, 9)
     np.testing.assert_array_equal(f1.quantile(q, levels), f2.quantile(q, levels))
 
@@ -81,8 +80,7 @@ def test_deterministic_given_seed():
 def test_depth_zero_single_tree_hand_values():
     targets = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     forest = fit_forest(np.zeros((5, 1)), targets, single_leaf_config())
-    assert forest.quantile(np.zeros(1), 0.5) == 3.0
-    assert forest.quantile(np.zeros(1), 0.05) == 1.0
+    assert forest.quantile(np.zeros((1, 1)), [0.5, 0.05]).tolist() == [[3.0, 1.0]]
 
 
 def test_depth_zero_matches_sort_oracle_on_random_sets():
@@ -92,7 +90,8 @@ def test_depth_zero_matches_sort_oracle_on_random_sets():
         targets = rng.normal(0.0, 5.0, size=n)
         forest = fit_forest(rng.normal(size=(n, 2)), targets, single_leaf_config(trial))
         for p in (0.05, 0.25, 0.5, 0.75, 0.95):
-            assert forest.quantile(rng.normal(size=2), p) == empirical_lower_quantile(targets, p)
+            value = forest.quantile(rng.normal(size=(1, 2)), [p])[0, 0]
+            assert value == empirical_lower_quantile(targets, p)
 
 
 def test_weights_nonnegative_and_sum_to_one():
@@ -101,7 +100,7 @@ def test_weights_nonnegative_and_sum_to_one():
     y = rng.normal(size=120)
     forest = fit_forest(x, y, ForestConfig(n_trees=30, seed=8))
     for _ in range(20):
-        w = forest_weights(forest, rng.normal(size=3))
+        w = forest_weights(forest, rng.normal(size=(1, 3)))[0]
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -113,9 +112,9 @@ def test_quantiles_monotone_in_level(seed):
     x = rng.normal(size=(50, 2))
     y = rng.normal(size=50)
     forest = fit_forest(x, y, ForestConfig(n_trees=8, seed=seed))
-    q = rng.normal(size=2)
+    q = rng.normal(size=(1, 2))
     levels = np.sort(rng.uniform(0.01, 0.99, size=8))
-    values = forest.quantile(q, levels)
+    values = forest.quantile(q, levels)[0]
     assert np.all(np.diff(values) >= 0.0)
 
 
@@ -125,8 +124,8 @@ def test_monotone_in_level_many_queries():
     y = rng.normal(size=100)
     forest = fit_forest(x, y, ForestConfig(n_trees=12, seed=10))
     for _ in range(100):
-        q = rng.normal(size=3)
-        v = forest.quantile(q, np.array([0.2, 0.5, 0.8]))
+        q = rng.normal(size=(1, 3))
+        v = forest.quantile(q, np.array([0.2, 0.5, 0.8]))[0]
         assert v[0] <= v[1] <= v[2]
 
 
@@ -138,15 +137,36 @@ def test_row_permutation_invariance_single_leaf():
     perm = rng.permutation(30)
     forest_b = fit_forest(x[perm], y[perm], single_leaf_config())
     for p in (0.05, 0.3, 0.5, 0.7, 0.95):
-        assert forest_a.quantile(np.zeros(2), p) == forest_b.quantile(np.zeros(2), p)
+        q = np.zeros((1, 2))
+        np.testing.assert_array_equal(forest_a.quantile(q, [p]), forest_b.quantile(q, [p]))
 
 
 def test_query_dimension_checked():
     forest = fit_forest(np.zeros((4, 3)), np.arange(4.0), single_leaf_config())
     with pytest.raises(DimensionMismatch):
-        forest.quantile(np.zeros(2), 0.5)
+        forest.quantile(np.zeros((1, 2)), [0.5])
     with pytest.raises(DimensionMismatch):
-        forest.quantile(np.zeros(3), 1.5)
+        forest.quantile(np.zeros((1, 3)), [1.5])
+
+
+@pytest.mark.parametrize(
+    "queries, levels",
+    [(np.zeros(3), [0.5]), (np.zeros((1, 3)), 0.5), (np.zeros((1, 3)), [[0.5]]),
+     (np.zeros((1, 3)), [np.nan])],
+    ids=["one_query", "scalar_level", "2d_levels", "nan_level"],
+)
+def test_quantile_takes_a_query_block_and_a_level_array(queries, levels):
+    # a (p,) query and a scalar level used to return a float, (L,) or (Q,),
+    # and a NaN level the smallest target
+    forest = fit_forest(np.zeros((4, 3)), np.arange(4.0), single_leaf_config())
+    with pytest.raises(DimensionMismatch):
+        forest.quantile(queries, levels)
+
+
+def test_fit_forest_takes_a_feature_matrix():
+    # 1-D features used to be read as one column
+    with pytest.raises(DegenerateData):
+        fit_forest(np.arange(4.0), np.arange(4.0), single_leaf_config())
 
 
 def test_forest_median_beats_constant_median_on_iid_data():
@@ -157,7 +177,7 @@ def test_forest_median_beats_constant_median_on_iid_data():
     loss_forest = 0.0
     loss_const = 0.0
     for xi, yi in zip(x[half:], y[half:]):
-        pred = forest.quantile(np.array([xi]), 0.5)
+        pred = forest.quantile(np.array([[xi]]), [0.5])[0, 0]
         # the pinball loss at level 0.5 is half the absolute error
         loss_forest += 0.5 * abs(yi - pred)
         loss_const += 0.5 * abs(yi - global_median)
@@ -203,7 +223,7 @@ def test_split_between_adjacent_doubles_terminates():
         forest = fit_forest(x, y, config)
     assert forest.trees[0].threshold[0] == a
     assert leaf_rows(forest) == [list(range(5)), list(range(5, 10))]
-    assert forest.quantile([a], 0.5) == 0.0 and forest.quantile([b], 0.5) == 10.0
+    assert forest.quantile([[a], [b]], [0.5]).tolist() == [[0.0], [10.0]]
 
 
 def test_split_between_adjacent_doubles_matches_scored_partition():
@@ -227,7 +247,7 @@ def test_split_near_float_max_terminates():
     with time_limit(10):
         forest = fit_forest(x, y, config)
     assert leaf_rows(forest) == [[0], [1], [2], [3]]
-    assert forest.quantile(x, 0.5).tolist() == y.tolist()
+    assert forest.quantile(x, [0.5])[:, 0].tolist() == y.tolist()
 
 
 # a few neighbouring doubles near 1, whose midpoints round to either end, and

@@ -245,11 +245,18 @@ def test_named_topologies():
     star = GraphSpec(kind="star", n_nodes=4).build()
     assert sorted((s, d) for s, d, _ in star.edges) == [(0, 1), (0, 2), (0, 3)]
     grid = GraphSpec(kind="grid", n_nodes=6, grid_rows=2).build()
-    assert grid.n_edges == 7  # 2x3 grid: 4 horizontal + 3 vertical
+    assert len(grid.edges) == 7  # 2x3 grid: 4 horizontal + 3 vertical
     with pytest.raises(DimensionMismatch):
         GraphSpec(kind="grid", n_nodes=7, grid_rows=2).build()
     with pytest.raises(DimensionMismatch):
         GraphSpec(kind="mystery", n_nodes=3).build()
+
+
+@pytest.mark.parametrize("rows", [0, -4])
+def test_grid_rows_below_one_raise(rows):
+    # 0 built the default floor(sqrt(20)) = 4 rows, and -4 a grid without edges
+    with pytest.raises(DimensionMismatch):
+        GraphSpec(kind="grid", n_nodes=20, grid_rows=rows).build()
 
 
 def test_excitation_mass_limits():
