@@ -132,26 +132,38 @@ def coverage_metrics(series: IntervalSeries, truths=None) -> MethodReport:
     covered = (series.lower <= y) & (y <= series.upper)
     widths = series.upper - series.lower
     mean_w, n_inf = _mean_width(widths)
-    per_node = {}
-    for node in np.unique(series.node):
-        mask = series.node == node
-        node_mean_w, node_inf = _mean_width(widths[mask])
-        per_node[int(node)] = NodeMetrics(
-            coverage=float(np.mean(covered[mask])),
-            nonzero_coverage=float(np.mean(covered[mask] & (y[mask] > 0))),
-            mean_width=node_mean_w,
-            n_infinite_width=node_inf,
-            mean_y=float(np.mean(y[mask])),
-            n_cells=int(np.sum(mask)),
-        )
     return MethodReport(
         method=series.method,
         coverage=float(np.mean(covered)),
         nonzero_coverage=float(np.mean(covered & (y > 0))),
         mean_width=mean_w,
         n_infinite_width=n_inf,
-        per_node=per_node,
+        per_node=_per_node(series.node, covered, widths, y),
     )
+
+
+def _per_node(node, covered, widths, y) -> dict:
+    """NodeMetrics by node id, from per-cell arrays.
+
+    A stable sort by node makes each node's cells one slice, in their own
+    order, so each node's sums run as over its own cells alone.
+    """
+    order = np.argsort(node, kind="stable")
+    covered, widths, y = covered[order], widths[order], y[order]
+    ids, counts = np.unique(node, return_counts=True)
+    per_node = {}
+    for node_id, end, count in zip(ids.tolist(), np.cumsum(counts).tolist(), counts.tolist()):
+        cells = slice(end - count, end)
+        node_mean_w, node_inf = _mean_width(widths[cells])
+        per_node[node_id] = NodeMetrics(
+            coverage=float(np.mean(covered[cells])),
+            nonzero_coverage=float(np.mean(covered[cells] & (y[cells] > 0))),
+            mean_width=node_mean_w,
+            n_infinite_width=node_inf,
+            mean_y=float(np.mean(y[cells])),
+            n_cells=count,
+        )
+    return per_node
 
 
 def _method_rank(name: str):

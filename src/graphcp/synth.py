@@ -56,6 +56,11 @@ class StormPulse:
             raise DimensionMismatch(
                 f"pulse start/duration must be >= 1, got ({self.start}, {self.duration})"
             )
+        # [] would hit no unit, and a repeated unit is hit once
+        if self.nodes is not None and (not self.nodes or len(set(self.nodes)) < len(self.nodes)):
+            raise DimensionMismatch(
+                f"pulse nodes must be null or distinct unit ids, got {list(self.nodes)}"
+            )
 
     to_dict = field_dict
 
@@ -132,7 +137,13 @@ class GraphSpec:
     @classmethod
     def from_dict(cls, doc: dict, where: str = "") -> "GraphSpec":
         kinds = dict(kind=str, n_nodes=int, edges=ListOf(ListOf(int, 2)), grid_rows=int)
-        return read_fields(cls, doc, kinds, where)
+        spec = read_fields(cls, doc, kinds, where)
+        # ``to_dict`` writes both keys for every kind, as [] and null
+        if spec.edges and spec.kind != "edges":
+            raise ConfigError(f"{where}edges: a {spec.kind!r} graph reads no edge list")
+        if spec.grid_rows is not None and spec.kind != "grid":
+            raise ConfigError(f"{where}grid_rows: a {spec.kind!r} graph reads no grid rows")
+        return spec
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Test-only helpers: an exchangeable i.i.d. regression sampler, the
-excitation stability diagnostics, a zero response network, and views of a
-fitted forest's trees and weights.
+excitation stability diagnostics, a zero response network, views of a
+fitted forest's trees and weights, and a time limit for a block.
 
 Only tests use them, so they live here rather than in ``graphcp``.
 """
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +100,11 @@ def leaf_members(tree, node: int) -> np.ndarray:
 def forest_weights(forest, queries) -> np.ndarray:
     """(Q, n) Meinshausen weights of a (Q, p) query block; each row is
     nonnegative and sums to 1."""
-    return forest._weight_block(forest._leaves(np.asarray(queries, dtype=np.float64)))
+    by_target = forest._weight_block(forest._leaves(np.asarray(queries, dtype=np.float64)))
+    # column j of the block is the j-th row in stable target order
+    weights = np.empty_like(by_target)
+    weights[:, np.argsort(forest.targets, kind="stable")] = by_target
+    return weights
 
 
 def forest_debug_dict(forest) -> dict:
@@ -120,3 +126,24 @@ def forest_debug_dict(forest) -> dict:
             for tree in forest.trees
         ],
     }
+
+
+# --------------------------------------------------------------------------
+# Time limit
+# --------------------------------------------------------------------------
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -18,8 +18,7 @@ from graphcp.conformal import read_interval_series
 from graphcp.model import ModelParams, load_params
 from graphcp.pipeline import run_pipeline
 from graphcp.synth import GraphSpec, ScenarioConfig, WeatherSpec
-from tests.support import zero_response
-from tests.test_qrf import time_limit
+from tests.support import time_limit, zero_response
 
 
 def demo_scenario_doc(seed=0, k=5, t_total=180):
@@ -799,13 +798,35 @@ def negative_grid_rows(doc):
         (huge_rates, "ExplosiveConfig"),
         (lambda doc: doc.update(n_steps=2**62), "DimensionMismatch"),
         (negative_grid_rows, "DimensionMismatch"),
+        (pulse(nodes=[]), "DimensionMismatch"),
+        (pulse(nodes=[0, 0]), "DimensionMismatch"),
     ],
-    ids=["nan_rate", "negative_variable", "poisson_limit", "huge_weather", "negative_grid_rows"],
+    ids=["nan_rate", "negative_variable", "poisson_limit", "huge_weather", "negative_grid_rows",
+         "empty_pulse_nodes", "repeated_pulse_nodes"],
 )
 def test_invalid_scenario_exits_4(tmp_path, capsys, command, edit, error):
     code, err = nonfinite_run(tmp_path, capsys, command, scenario_edited(edit))
     assert code == 4 and len(err) == 1 and error in err[0], err
     assert not list((tmp_path / "o").rglob("*.csv"))
+
+
+# the graph kind reads only its own keys: these ran on the star's (or the
+# edge list's) graph, and scenario.json recorded the ignored value
+@pytest.mark.parametrize(
+    "graph, key",
+    [
+        ({"kind": "star", "n_nodes": 5, "edges": [[1, 2]]}, "edges"),
+        ({"kind": "star", "n_nodes": 5, "grid_rows": 7}, "grid_rows"),
+        ({"kind": "edges", "n_nodes": 5, "edges": [[0, j] for j in range(1, 5)],
+          "grid_rows": 9}, "grid_rows"),
+    ],
+    ids=["star_edges", "star_grid_rows", "edges_grid_rows"],
+)
+def test_graph_key_the_kind_does_not_read_exits_2(tmp_path, capsys, graph, key):
+    code, err = nonfinite_run(tmp_path, capsys, "simulate",
+                              scenario_edited(lambda doc: doc.update(graph=graph)))
+    assert code == 2 and len(err) == 1 and f"scenario.graph.{key}:" in err[0], err
+    assert not (tmp_path / "o").exists()
 
 
 # a NaN threshold used to make every node ineligible: pipeline wrote a
@@ -923,6 +944,10 @@ def test_coverage_metrics_recomputed_from_csv_bit_exact(tmp_path):
 # graphcp's reader accepts; no mutant is an integer that could size an
 # allocation or a loop
 MUTANTS = ["x", -1, 1.5, [], {}, None, True, math.nan, math.inf, -math.inf, 1e308, -0.0, 5e-324]
+# well-typed scenario values that the demo's star graph or its pulse must
+# reject: an edge list and grid rows, which a star does not read, and a
+# pulse that names one node twice ([] is in MUTANTS)
+SCENARIO_MUTANTS = {"edges": [[[1, 2]]], "grid_rows": [7], "nodes": [[0, 0]]}
 
 
 @pytest.fixture(scope="module")
@@ -988,7 +1013,7 @@ def sections(doc, skip=(), path=()):
                 yield from sections(item, skip, path + (key, i))
 
 
-# the cases number about 1,900, so hypothesis runs out of new ones and stops
+# the cases number about 1,970, so hypothesis runs out of new ones and stops
 # after trying each
 @settings(
     max_examples=2000,
@@ -1012,6 +1037,8 @@ def test_mutated_config_exits_cleanly(valid_configs, tmp_path_factory, capsys, d
     # an emptied section falls back to every default, like dropped keys
     # (200 epochs, or a forest refit at every step), so a section stays filled
     mutants = [m for m in MUTANTS if not (m == {} and isinstance(section.get(key), dict))]
+    if path[:1] == ("scenario",):
+        mutants += SCENARIO_MUTANTS.get(key, [])
     section[key] = data.draw(st.sampled_from(mutants))
     tmp = tmp_path_factory.mktemp("mutant")
     if isinstance(doc.get("params_file"), dict):

@@ -30,8 +30,7 @@ from graphcp.model import ModelParams, intensity
 from graphcp.panel import ServiceGraph, split
 from graphcp.qrf import ForestConfig, fit_forest
 from graphcp.synth import GraphSpec, ScenarioConfig, WeatherSpec, simulate
-from tests.support import zero_response
-from tests.test_qrf import time_limit
+from tests.support import time_limit, zero_response
 
 
 def oracle_poisson_quantile(rate, level):

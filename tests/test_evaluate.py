@@ -107,6 +107,46 @@ def test_per_node_matches_overall():
     assert overall == pytest.approx(report.coverage)
 
 
+def masked_per_node(series):
+    """Per-node metrics from one boolean mask per node, cell order kept."""
+    y = series.y_true
+    covered = (series.lower <= y) & (y <= series.upper)
+    widths = series.upper - series.lower
+    per_node = {}
+    for node in np.unique(series.node):
+        mask = series.node == node
+        finite = widths[mask][np.isfinite(widths[mask])]
+        per_node[int(node)] = NodeMetrics(
+            coverage=float(np.mean(covered[mask])),
+            nonzero_coverage=float(np.mean(covered[mask] & (y[mask] > 0))),
+            mean_width=float(np.mean(finite)) if finite.shape[0] else math.inf,
+            n_infinite_width=int(np.sum(mask) - finite.shape[0]),
+            mean_y=float(np.mean(y[mask])),
+            n_cells=int(np.sum(mask)),
+        )
+    return per_node
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_per_node_slices_match_masks_bit_for_bit(seed):
+    # nodes in random order, some with over 128 cells so that the pairwise
+    # sums block, fractional widths and a few infinite ones
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2000))
+    nodes = rng.integers(0, int(rng.integers(1, 12)), size=n)
+    lowers = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e6], size=n)
+    uppers = lowers + rng.exponential(size=n) * rng.choice([1e-3, 1.0, 1e6], size=n)
+    uppers[rng.random(n) < 0.02] = math.inf
+    ys = rng.poisson(rng.choice([0.2, 3.0, 1e4], size=n)).astype(float)
+    series = make_series(nodes=nodes, times=np.arange(1, n + 1), lowers=lowers,
+                         uppers=uppers, ys=ys)
+    report = coverage_metrics(series)
+    expected = masked_per_node(series)
+    assert list(report.per_node) == list(expected)
+    for node, metrics in expected.items():
+        assert report.per_node[node] == metrics, node
+
+
 # ------------------------------------------------------------ winner
 
 

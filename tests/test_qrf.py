@@ -1,6 +1,3 @@
-import signal
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +5,14 @@ from hypothesis import strategies as st
 
 from graphcp.errors import DegenerateData, DimensionMismatch
 from graphcp.qrf import ForestConfig, fit_forest
-from tests.support import forest_weights, leaf_members, simulate_iid
+from tests.support import (
+    forest_debug_dict,
+    forest_weights,
+    leaf_members,
+    simulate_iid,
+    time_limit,
+)
+from tests.test_seed_oracle import OracleForest
 
 
 def empirical_lower_quantile(targets, level):
@@ -187,22 +191,6 @@ def test_forest_median_beats_constant_median_on_iid_data():
 # ------------------------------------------------------- split thresholds
 
 
-@contextmanager
-def time_limit(seconds):
-    """Fail, rather than hang, when the block runs past ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def leaf_rows(forest):
     """Sorted member rows of every leaf of the forest's single tree."""
     tree = forest.trees[0]
@@ -301,3 +289,98 @@ def test_targets_too_large_to_score_raise():
         with pytest.raises(DegenerateData, match="too large"):
             fit_forest(x, np.array(y), config)
     fit_forest(x, np.full(4, 3e153), config)
+
+
+# ------------------------------------------------------------ rank path
+
+
+def assert_matches_oracle(x, y, config, queries):
+    """The forest's trees, thresholds to the bit, quantiles and weights
+    equal the per-node float oracle's."""
+    forest = fit_forest(x, y, config)
+    oracle = OracleForest(x, y, config)
+    assert forest_debug_dict(forest) == oracle.to_debug_dict()
+    for tree, expected in zip(forest.trees, oracle.trees):
+        assert tree.threshold.tobytes() == expected.threshold.tobytes()  # -0.0 too
+    levels = np.array([0.05, 0.3, 0.5, 0.95])
+    np.testing.assert_array_equal(
+        forest.quantile(queries, levels), [oracle.quantile(q, levels) for q in queries]
+    )
+    np.testing.assert_array_equal(
+        forest_weights(forest, queries), [oracle.weights(q) for q in queries]
+    )
+    return forest
+
+
+RANK_CONFIGS = (
+    dict(n_trees=5, min_leaf=1),
+    dict(n_trees=4, min_leaf=3, mtry=2),
+    dict(n_trees=3, min_leaf=7, bootstrap=False),
+)
+
+
+@pytest.mark.parametrize("params", RANK_CONFIGS)
+def test_heavily_tied_features_match_oracle(params):
+    rng = np.random.default_rng(11)
+    x = np.round(rng.normal(size=(300, 4)), 1)
+    y = np.round(rng.normal(size=300), 1)
+    queries = np.concatenate([x[:15], np.round(rng.normal(size=(15, 4)), 1)])
+    assert_matches_oracle(x, y, ForestConfig(seed=3, **params), queries)
+
+
+@pytest.mark.parametrize("params", RANK_CONFIGS)
+def test_constant_column_matches_oracle(params):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(200, 3))
+    x[:, 1] = -2.5
+    y = x[:, 0] + rng.normal(size=200)
+    queries = np.concatenate([x[:10], rng.normal(size=(10, 3))])
+    assert_matches_oracle(x, y, ForestConfig(seed=4, **params), queries)
+
+
+@pytest.mark.parametrize("params", RANK_CONFIGS)
+def test_signed_zeros_share_a_rank(params):
+    # -0.0 and 0.0 compare equal, so they tie like any equal pair: by row
+    rng = np.random.default_rng(13)
+    values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+    x = rng.choice(values, size=(160, 2), p=[0.15, 0.3, 0.3, 0.15, 0.1])
+    y = rng.integers(0, 6, size=160).astype(np.float64)
+    queries = np.array([[a, b] for a in values for b in values])
+    assert_matches_oracle(x, y, ForestConfig(seed=5, **params), queries)
+
+
+@pytest.mark.parametrize("min_leaf", [1, 4])
+def test_nodes_of_twice_min_leaf_rows_match_oracle(min_leaf):
+    # a node of 2 * min_leaf rows has a single scored position
+    rng = np.random.default_rng(14)
+    for n in (2 * min_leaf, 2 * min_leaf + 1, 40):
+        x = rng.normal(size=(n, 2))
+        y = rng.normal(size=n)
+        for bootstrap in (False, True):
+            config = ForestConfig(n_trees=3, min_leaf=min_leaf, bootstrap=bootstrap, seed=n)
+            assert_matches_oracle(x, y, config, np.concatenate([x, rng.normal(size=(5, 2))]))
+
+
+@pytest.mark.parametrize(
+    "x, params",
+    [
+        (np.arange(14.0).reshape(7, 2), dict(min_leaf=4)),  # too few rows to split
+        (np.full((30, 2), 0.5), dict(min_leaf=1)),  # no valid split
+        (np.arange(60.0).reshape(30, 2), dict(min_leaf=1, max_depth=0)),
+    ],
+    ids=["few_rows", "constant", "depth_zero"],
+)
+def test_forest_of_single_leaves_matches_oracle(x, params):
+    y = np.linspace(-1.0, 2.0, x.shape[0])
+    forest = assert_matches_oracle(x, y, ForestConfig(n_trees=4, seed=6, **params), x[:5])
+    assert all(tree.feature.tolist() == [-1] for tree in forest.trees)
+
+
+def test_ranks_beyond_uint16_match_oracle():
+    # 70,000 distinct values: their ranks would wrap in 16 bits
+    rng = np.random.default_rng(15)
+    n = 70_000
+    x = np.stack([rng.permutation(n) * 0.5, rng.normal(size=n)], axis=1)
+    y = np.where(x[:, 0] > 20_000, 3.0, 0.0) + rng.normal(size=n)
+    config = ForestConfig(n_trees=1, max_depth=2, min_leaf=100, mtry=2, seed=7)
+    assert_matches_oracle(x, y, config, x[:4])
