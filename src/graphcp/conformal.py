@@ -25,6 +25,7 @@ results for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import signal
@@ -326,8 +327,8 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
     Each refit round fits one forest per node on the buffers at its first
     step, then answers every step up to the next round in one query block.
     The (round, node) forests have their own seeds, so they are grown in a
-    fork pool (``_in_order``) with the same results as one at a time; in
-    this process if a forest step has been rebound (``_rebound``).
+    fork pool (``_forked``) with the same results as one at a time; in
+    this process if a forest step has been rebound (``_forks``).
     """
     k, n_test = points.shape
     # row s + calib_window - window of a node's lags is the query at step s:
@@ -349,8 +350,10 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
         return forest.quantile(lags[j, lo + offset : hi + offset], levels)
 
     lower, upper = np.empty((k, n_test)), np.empty((k, n_test))
-    workers = 1 if _rebound() else _worker_count(len(tasks))
-    for (refit, j), q in zip(tasks, _in_order(quantiles, tasks, workers)):
+    steps = (build_qrf_training_set, fit_forest, FittedForest.quantile)
+    with _forked(quantiles, tasks, _forks(len(tasks), steps, _FOREST_STEPS)) as collect:
+        results = collect()
+    for (refit, j), q in zip(tasks, results):
         lo, hi = rounds[refit]
         lower[j, lo:hi] = points[j, lo:hi] + q[:, 0]
         upper[j, lo:hi] = points[j, lo:hi] + q[:, 1]
@@ -358,7 +361,7 @@ def _forest_intervals(resid, points, pools, alpha, window, calib_window, stride,
 
 
 # --------------------------------------------------------------------------
-# Fork pool
+# Forked workers: the forest pool, and the pipeline's data writer
 # --------------------------------------------------------------------------
 
 
@@ -369,38 +372,62 @@ def _worker_count(n_tasks: int) -> int:
     return min(os.cpu_count() or 1, n_tasks)
 
 
-def _rebound() -> bool:
-    """Whether a forest step is bound to another object than at import.
+def _forks(n_tasks: int, steps, then) -> int:
+    """Processes to fork for ``n_tasks`` tasks: one per usable CPU, at most
+    ``n_tasks``, or none with fewer than two usable CPUs or when one of
+    ``steps`` is bound to another object than ``then``, its binding at import.
 
-    A profiler or a test spy does that, and its wrapper's records would stay
-    in a forked worker, so such a run grows its forests in this process.
+    A profiler or a test spy rebinds a step, and its wrapper's records would
+    stay in a forked process, so such a run does its work in this one.
     """
-    steps = (build_qrf_training_set, fit_forest, FittedForest.quantile)
-    return any(now is not then for now, then in zip(steps, _FOREST_STEPS))
+    if _worker_count(2) < 2 or any(now is not was for now, was in zip(steps, then)):
+        return 0
+    return _worker_count(n_tasks)
 
 
-def _in_order(task, items, workers: int) -> list:
-    """``[task(item) for item in items]``, spread over ``workers`` forked processes.
+@contextlib.contextmanager
+def _forked(task, items, workers: int):
+    """Start ``[task(item) for item in items]`` in ``workers`` forked processes
+    and yield ``collect``, which returns the results in item order.
 
     Worker ``w`` inherits ``task`` and ``items`` and runs ``items[w::workers]``
     in order, sending each result down a pipe of its own, so item ``i`` is
-    read from pipe ``i % workers`` and results arrive in item order.  The
-    first item whose task raises raises its error here, as the plain loop
-    would.  A worker that dies raises ChildProcessError.  On every exit the
-    workers are stopped and joined.  The plain loop runs for one worker,
-    where ``fork`` is missing, and in a daemon process, which may not have
-    children.
+    read from pipe ``i % workers`` and results arrive in item order.
+    ``collect`` raises the error of the first item whose task raises, as the
+    plain loop would, and ChildProcessError for a worker that dies.  On
+    leaving the block the workers are stopped and joined, whether or not
+    ``collect`` ran.  With no workers, where ``fork`` is missing, and in a
+    daemon process, which may not have children, nothing forks and
+    ``collect`` runs the plain loop.
     """
     import multiprocessing
 
     if (
-        workers <= 1
+        workers < 1
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        return [task(item) for item in items]
+        yield lambda: [task(item) for item in items]
+        return
     context = multiprocessing.get_context("fork")
     ends, processes = [], []
+
+    def collect() -> list:
+        results = []
+        for index in range(len(items)):
+            try:
+                result, error = ends[index % workers].recv()
+            except EOFError:
+                process = processes[index % workers]
+                process.join()
+                raise ChildProcessError(
+                    f"forked worker {process.pid} exited with code {process.exitcode}"
+                ) from None
+            if error is not None:
+                raise error
+            results.append(result)
+        return results
+
     try:
         for w in range(workers):
             ours, theirs = context.Pipe(duplex=False)
@@ -411,20 +438,7 @@ def _in_order(task, items, workers: int) -> list:
             process.start()
             theirs.close()  # so that the worker's death reads as EOF here
             processes.append(process)
-        results = []
-        for index in range(len(items)):
-            try:
-                result, error = ends[index % workers].recv()
-            except EOFError:
-                process = processes[index % workers]
-                process.join()
-                raise ChildProcessError(
-                    f"pool worker {process.pid} exited with code {process.exitcode}"
-                ) from None
-            if error is not None:
-                raise error
-            results.append(result)
-        return results
+        yield collect
     finally:
         for process in processes:
             process.terminate()
@@ -435,8 +449,8 @@ def _in_order(task, items, workers: int) -> list:
 
 
 def _serve(task, items, pipe, caller_ends) -> None:
-    """A pool worker: send each item's ``(result, error)`` down ``pipe``, up to the first error."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the pool
+    """A forked worker: send each item's ``(result, error)`` down ``pipe``, up to the first error."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops its workers
     for end in caller_ends:  # so that the caller's death breaks the pipe here
         end.close()
     for item in items:

@@ -333,13 +333,15 @@ def _reject(path, rows: np.ndarray, bad: np.ndarray, error, what: str) -> None:
         raise error(f"{path}: {what} in row {rows[np.argmax(bad)].tolist()}")
 
 
-def _cell_index(path, rows: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _cell_index(path, rows: np.ndarray) -> tuple[tuple, np.ndarray, "int | None"]:
     """The grid shape the rows imply, each row's C-order cell index, and the
-    indices sorted.
+    first cell no row names (None when every cell has a row).
 
-    Ids out of domain and a cell named twice raise MalformedRow.  Repeats
-    are found by sorting rather than by ``np.bincount``, so a mistyped id
-    that implies a huge grid costs memory per row, not per cell.
+    Ids out of domain and a cell named twice raise MalformedRow.  When there
+    are as many rows as cells, marking them shows at once whether each cell
+    has exactly one row.  Otherwise repeats and gaps are found by sorting
+    rather than by ``np.bincount``, so a mistyped id that implies a huge grid
+    costs memory per row, not per cell.
     """
     # every field but the last is a coordinate; time is 1-based in files
     names = rows.dtype.names[:-1]
@@ -352,29 +354,35 @@ def _cell_index(path, rows: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
         f"{'/'.join(names)} out of domain",
     )
     shape = tuple(int(key.max()) + 1 for key in keys)
-    if math.prod(shape) >= 2**63:
+    size = math.prod(shape)
+    if size >= 2**63:
         raise MalformedRow(f"{path}: ids imply a {shape} grid, too large to index")
     cells = np.ravel_multi_index(keys, shape)
+    if cells.size == size:
+        seen = np.zeros(size, dtype=bool)
+        seen[cells] = True
+        if seen.all():
+            return shape, cells, None
     ordered = np.sort(cells)
     repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
     if repeats.size:
         row = np.flatnonzero(cells == ordered[repeats[0]])[1]
         raise MalformedRow(f"{path}: duplicate cell in row {rows[row].tolist()}")
-    return shape, cells, ordered
+    # the sorted indices are distinct and fewer than the cells, so the first
+    # gap is the first missing cell
+    gaps = np.flatnonzero(ordered != np.arange(ordered.size))
+    return shape, cells, int(gaps[0]) if gaps.size else ordered.size
 
 
-def _dense(path, rows, shape, cells, ordered, values: np.ndarray) -> np.ndarray:
-    """``values`` placed on the grid; raises MissingCell unless every cell has a row."""
-    if ordered.size < math.prod(shape):
-        # the sorted indices are distinct, so the first gap is the first missing cell
-        gaps = np.flatnonzero(ordered != np.arange(ordered.size))
-        first = np.unravel_index(gaps[0] if gaps.size else ordered.size, shape)
+def _dense(path, rows, shape, cells, missing, values: np.ndarray) -> np.ndarray:
+    """``values`` placed on the grid; raises MissingCell if cell ``missing`` is not None."""
+    if missing is not None:
         where = ", ".join(
             f"{name}={int(i) + 1 if name == 'time' else int(i)}"
-            for name, i in zip(rows.dtype.names, first)
+            for name, i in zip(rows.dtype.names, np.unravel_index(missing, shape))
         )
         raise MissingCell(f"{path}: cell ({where}) missing")
-    dense = np.empty(ordered.size, dtype=values.dtype)
+    dense = np.empty(cells.size, dtype=values.dtype)
     dense[cells] = values
     return dense.reshape(shape)
 
@@ -431,16 +439,22 @@ def load_panel(weather_file: "str | Path", counts_file: "str | Path") -> PanelDa
     return PanelDataset.build(weather, counts)
 
 
-def unit_lines(unit: int, tails: list[str], values: np.ndarray) -> str:
-    """The lines ``f"{unit},{tail}{value!r}"`` for each (tail, value), as one string.
+def unit_lines(tails: list[str]):
+    """The function of ``(unit, values)`` that returns the lines
+    ``f"{unit},{tail}{value!r}\n"``, one per (tail, value), as one string.
 
-    ``repr`` of a list formats every number in one C loop, and no int or
-    float repr contains ", ", so splitting it yields each value's repr.
+    The ``"{tail}%r\n"`` lines are built once; a unit prefixes each with
+    ``"{unit},"`` and formats all its values with one ``%``, where ``%r`` is
+    ``repr``.
     """
-    if not tails:
-        return ""
-    reprs = repr(values.tolist())[1:-1].split(", ")
-    return f"{unit}," + f"\n{unit},".join(map(str.__add__, tails, reprs)) + "\n"
+    lines = [f"{tail}%r\n" for tail in tails]
+
+    def format_unit(unit: int, values: np.ndarray) -> str:
+        if not lines:
+            return ""
+        return (f"{unit}," + f"{unit},".join(lines)) % tuple(values.tolist())
+
+    return format_unit
 
 
 def write_panel(
@@ -453,15 +467,17 @@ def write_panel(
     Floats are emitted via repr, so write -> load -> write is a byte-level
     fixpoint.  Each unit's rows go out in one write call.
     """
-    cells = [f"{t},{v}," for t in range(1, panel.n_steps + 1) for v in range(panel.n_vars)]
-    steps = [f"{t}," for t in range(1, panel.n_steps + 1)]
+    cells = unit_lines(
+        [f"{t},{v}," for t in range(1, panel.n_steps + 1) for v in range(panel.n_vars)]
+    )
+    steps = unit_lines([f"{t}," for t in range(1, panel.n_steps + 1)])
     write_csv(
         weather_file,
         "unit,time,variable,value\n",
-        (unit_lines(u, cells, panel.weather[u].ravel()) for u in range(panel.n_nodes)),
+        (cells(u, panel.weather[u].ravel()) for u in range(panel.n_nodes)),
     )
     write_csv(
         counts_file,
         "unit,time,count\n",
-        (unit_lines(u, steps, panel.counts[u]) for u in range(panel.n_nodes)),
+        (steps(u, panel.counts[u]) for u in range(panel.n_nodes)),
     )

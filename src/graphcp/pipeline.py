@@ -5,18 +5,31 @@ A pipeline document is the one input of every end-to-end run: ``run_stages``
 subcommands read it with the parsers below, and each stage has one writer, so
 the subcommand chain writes the bytes ``run_pipeline`` writes.  One top-level
 seed derives every stage seed (scenario = seed, model init = seed + 1, fit
-shuffling = seed + 2, forests = seed + 3).  ``run_pipeline`` writes only after
-every stage has run, so a run that fails in a stage leaves no files.
+shuffling = seed + 2, forests = seed + 3).
+
+``run_pipeline`` writes data/ while the later stages run: right after
+simulate, a forked writer (or, on one CPU or under a profiler, this process
+after the last stage) writes its files into a staging directory
+``.graphcp-staging-<hex>`` in the first of the output directory and its
+ancestors that exists, and after the last stage they are moved into
+``out/data``.  The other files are written after every stage has run.  So a
+run that fails in a stage leaves no file under the output directory, and a
+run that returns or raises leaves no staging directory behind.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
+import shutil
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .conformal import METHODS, ForestConfig, run_conformal
+from .conformal import METHODS, ForestConfig, _forked, _forks, run_conformal
 from .errors import (
     ConfigError, ListOf, NoEligibleNodes, ValidationError, coerce, done, read_fields, take,
 )
@@ -185,8 +198,8 @@ def write_predictions(out, rates, lo: int, hi: int) -> None:
         raise ValidationError(
             f"predict: rate {written[node, s]} at node {node}, time {lo + s} is not finite"
         )
-    times = [f"{t}," for t in range(lo, hi + 1)]
-    rows = (unit_lines(node, times, written[node]) for node in range(len(rates)))
+    times = unit_lines([f"{t}," for t in range(lo, hi + 1)])
+    rows = (times(node, written[node]) for node in range(len(rates)))
     write_csv(_mkdir(out) / "predictions.csv", "node,time,f_hat\n", rows)
 
 
@@ -217,9 +230,10 @@ def write_report(out, alpha: float, reports: dict, threshold: float):
     return table
 
 
-def run_stages(config: dict) -> PipelineResult:
-    """Parse a pipeline document, whose top level is closed, then simulate ->
-    split -> fit -> run_conformal and coverage_metrics per method, in memory."""
+def _stages(config: dict, beside) -> PipelineResult:
+    """Parse a pipeline document, whose top level is closed, then simulate,
+    and split -> fit -> run_conformal and coverage_metrics per method inside
+    the context manager ``beside(scenario, panel, graph)``."""
     config = dict(config)
     seed = read_seed(config)
     scenario = read_scenario(config, seed)
@@ -231,28 +245,68 @@ def run_stages(config: dict) -> PipelineResult:
 
     graph = scenario.graph.build()
     panel = simulate(scenario)
-    data_split = split(panel, fractions)
-    init = init_params(graph, panel.n_vars, **init_kwargs)
-    fit_result = fit(panel, graph, init, fit_config, time_range=data_split.train)
-    series, reports = {}, {}
-    for method in methods:
-        series[method] = run_conformal(
-            panel, graph, fit_result.params, data_split, method, **run_kwargs
-        )
-        reports[method] = coverage_metrics(series[method], truths=panel.counts)
+    with beside(scenario, panel, graph):
+        data_split = split(panel, fractions)
+        init = init_params(graph, panel.n_vars, **init_kwargs)
+        fit_result = fit(panel, graph, init, fit_config, time_range=data_split.train)
+        series, reports = {}, {}
+        for method in methods:
+            series[method] = run_conformal(
+                panel, graph, fit_result.params, data_split, method, **run_kwargs
+            )
+            reports[method] = coverage_metrics(series[method], truths=panel.counts)
     return PipelineResult(
         None, panel, graph, data_split, fit_result, series, reports, None,
         scenario, run_kwargs["alpha"], threshold,
     )
 
 
+def run_stages(config: dict) -> PipelineResult:
+    """``_stages`` in memory: simulate -> split -> fit -> run_conformal and
+    coverage_metrics per method."""
+    return _stages(config, lambda scenario, panel, graph: nullcontext())
+
+
+@contextmanager
+def _writing_data(staging: Path, scenario, panel, graph):
+    """Write data/'s files into the new directory ``staging`` during the
+    block: in a forked writer where ``_forks`` allows one, otherwise in this
+    process after the block.  An error in the block stops the writer, so
+    it takes precedence over the writer's own."""
+
+    def write(_):
+        staging.mkdir()
+        write_data(staging, scenario, panel, graph)
+
+    steps = (write_graph, write_panel, write_json)
+    with _forked(write, [None], _forks(1, steps, _WRITE_STEPS)) as collect:
+        yield
+        collect()
+
+
 def run_pipeline(config: dict, out_dir) -> PipelineResult:
-    """``run_stages`` on the config dict, then every stage's files under ``out_dir``."""
-    result = run_stages(config)
-    out = result.out_dir = Path(out_dir)
-    write_data(out / "data", result.scenario, result.panel, result.graph)
+    """``run_stages`` on the config dict, then every stage's files under ``out_dir``.
+
+    data/ is written beside the stages into a staging directory in the
+    first of ``out_dir`` and its ancestors that exists, so on the filesystem
+    of ``out_dir/data``, and its files are moved there after the last stage.
+    """
+    out = Path(out_dir)
+    anchor = next((path for path in (out, *out.parents) if path.exists()), out)
+    staging = anchor / f".graphcp-staging-{secrets.token_hex(8)}"
+    try:
+        result = _stages(config, partial(_writing_data, staging))
+        data = _mkdir(out / "data")
+        for path in sorted(staging.iterdir()):
+            os.replace(path, data / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    result.out_dir = out
     write_params(out / "model", result.fit_result.params)
     write_intervals(out / "intervals", result.series.values())
     write_metrics(out, result.alpha, result.reports)
     result.winner = write_report(out, result.alpha, result.reports, result.outage_threshold)
     return result
+
+
+_WRITE_STEPS = (write_graph, write_panel, write_json)

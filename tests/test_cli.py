@@ -4,6 +4,8 @@ import itertools
 import json
 import logging
 import math
+import multiprocessing
+import os
 import random
 import re
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from graphcp import conformal, pipeline
 from graphcp.cli import cli_main
 from graphcp.conformal import read_interval_series
 from graphcp.model import ModelParams, load_params
@@ -921,6 +924,105 @@ def test_pipeline_cli_smoke(tmp_path):
     assert series.method == "graph"
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert metrics["alpha"] == 0.1
+
+
+# the data files are written beside the stages: by a forked writer where
+# the process may use two CPUs, otherwise here after the last stage
+
+
+def writer_cpus(monkeypatch, cpus):
+    """Let the pipeline see ``cpus`` usable CPUs, so it forks its data writer or not."""
+    monkeypatch.setattr(conformal, "_worker_count", lambda n_tasks: min(cpus, n_tasks))
+
+
+def record_writer_pid(monkeypatch, path):
+    """Have ``write_data`` note the id of the process it runs in, in ``path``."""
+    write_data = pipeline.write_data
+
+    def noting(*args):
+        write_data(*args)
+        path.write_text(str(os.getpid()))
+
+    monkeypatch.setattr(pipeline, "write_data", noting)
+
+
+def test_forked_and_in_process_writers_write_the_same_bytes(tmp_path, monkeypatch):
+    doc = pipeline_doc(seed=3)
+    doc["conformal"]["methods"] = ["poisson", "vanilla", "temporal", "graph"]
+    outputs, pids = [], []
+    for cpus in (2, 1):
+        writer_cpus(monkeypatch, cpus)
+        record_writer_pid(monkeypatch, tmp_path / "pid")
+        run_pipeline(doc, tmp_path / f"cpus{cpus}")
+        outputs.append(digests(tmp_path / f"cpus{cpus}"))
+        pids.append(int((tmp_path / "pid").read_text()))
+        assert multiprocessing.active_children() == []
+    assert pids[0] != os.getpid() and pids[1] == os.getpid()
+    assert len(outputs[0]) == 13 and outputs[0] == outputs[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1", "cpus2", "pid"]
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize(
+    "bad, exit_code, error",
+    [
+        ({"fit": {"hidden": 2**58}}, 3, "out of memory"),
+        ({"fit": {"learning_rate": 1e300, "epochs": 62}}, 4, "NonFiniteLoss"),
+    ],
+    ids=["out_of_memory", "nonfinite_loss"],
+)
+def test_a_stage_failure_leaves_no_output_and_no_staging(tmp_path, capsys, monkeypatch,
+                                                         bad, exit_code, error, cpus):
+    # the writer starts right after simulate, so it has written or is
+    # writing when the stage fails; the stage's error is the one reported
+    writer_cpus(monkeypatch, cpus)
+    code, err = nonfinite_run(tmp_path, capsys, "pipeline", bad)
+    assert code == exit_code and len(err) == 1 and error in err[0], err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize(
+    "fit, exit_code, error",
+    [({}, 3, "i/o error"), ({"learning_rate": 1e300, "epochs": 62}, 4, "NonFiniteLoss")],
+    ids=["stages_pass", "stage_fails"],
+)
+def test_unwritable_out_exits_3_and_leaves_no_staging(tmp_path, capsys, monkeypatch,
+                                                      fit, exit_code, error, cpus):
+    # the writer fails at once; a stage that fails too is the error reported
+    writer_cpus(monkeypatch, cpus)
+    (tmp_path / "file").write_text("")
+    doc = pipeline_doc(seed=2)
+    doc["fit"].update(fit)
+    config = write_json(tmp_path / "pipe.json", doc)
+    capsys.readouterr()
+    out = tmp_path / "file" / "o"
+    assert cli_main(["pipeline", "--config", config, "--out", str(out)]) == exit_code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and error in err[0], err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "pipe.json"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_a_spied_write_step_runs_in_this_process(tmp_path, monkeypatch):
+    # a profiler or a spy that wraps write_panel records calls in the caller
+    # only, so the data files are written here
+    writer_cpus(monkeypatch, 2)
+    calls = []
+    write_panel = pipeline.write_panel
+
+    def spy(*args):
+        calls.append(os.getpid())
+        return write_panel(*args)
+
+    monkeypatch.setattr(pipeline, "write_panel", spy)
+    run_pipeline(pipeline_doc(seed=4), tmp_path / "o")
+    assert calls == [os.getpid()]
+    assert sorted(p.name for p in (tmp_path / "o" / "data").iterdir()) == [
+        "counts.csv", "graph.csv", "meta.json", "scenario.json", "weather.csv"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]
 
 
 def test_coverage_metrics_recomputed_from_csv_bit_exact(tmp_path):

@@ -18,7 +18,8 @@ from graphcp.conformal import (
     _check_window,
     _derived_forest_config,
     _forest_intervals,
-    _in_order,
+    _forked,
+    _forks,
     build_qrf_training_set,
     poisson_interval,
     read_interval_series,
@@ -393,15 +394,39 @@ def test_intervals_do_not_depend_on_the_worker_count(monkeypatch, case, method):
     assert bounds[0] == bounds[1]
 
 
+def in_order(task, items, workers):
+    """``[task(item) for item in items]`` over ``workers`` forked processes."""
+    with _forked(task, items, workers) as collect:
+        return collect()
+
+
 def test_pooled_tasks_run_in_forked_workers_in_order():
     def task(item):
         return item, os.getpid()
 
-    pooled = _in_order(task, list(range(6)), 2)
-    assert [item for item, _ in pooled] == list(range(6))
-    assert os.getpid() not in {pid for _, pid in pooled}
-    assert _in_order(task, list(range(6)), 1) == [(item, os.getpid()) for item in range(6)]
+    for workers in (1, 2):
+        pooled = in_order(task, list(range(6)), workers)
+        assert [item for item, _ in pooled] == list(range(6))
+        assert len({pid for _, pid in pooled} - {os.getpid()}) == workers
+    assert in_order(task, list(range(6)), 0) == [(item, os.getpid()) for item in range(6)]
     assert multiprocessing.active_children() == []
+
+
+def test_leaving_the_block_stops_uncollected_workers():
+    # the pipeline's writer is abandoned, not collected, when a stage fails
+    with time_limit(5), pytest.raises(ValueError, match="stage"):
+        with _forked(lambda item: time.sleep(60), [0], 1):
+            raise ValueError("stage")
+    assert multiprocessing.active_children() == []
+
+
+def test_forks_rule(monkeypatch):
+    steps = (fit_forest,)
+    use_cpus(monkeypatch, 4)
+    assert [_forks(n, steps, steps) for n in (1, 3, 9)] == [1, 3, 4]
+    assert _forks(9, (print,), steps) == 0  # a rebound step
+    use_cpus(monkeypatch, 1)
+    assert _forks(9, steps, steps) == 0
 
 
 def test_a_dead_worker_raises_instead_of_hanging():
@@ -413,7 +438,7 @@ def test_a_dead_worker_raises_instead_of_hanging():
         return item
 
     with time_limit(5), pytest.raises(ChildProcessError, match="exited with code -9"):
-        _in_order(task, list(range(8)), 2)
+        in_order(task, list(range(8)), 2)
     assert multiprocessing.active_children() == []
 
 
@@ -425,7 +450,7 @@ def test_an_error_stops_the_busy_workers():
         time.sleep(60)
 
     with time_limit(5), pytest.raises(ValueError, match="item 0"):
-        _in_order(task, [0, 1], 2)
+        in_order(task, [0, 1], 2)
     assert multiprocessing.active_children() == []
 
 
@@ -449,7 +474,7 @@ def test_a_dead_callers_workers_exit():
         time.sleep(1)
 
     caller = multiprocessing.get_context("fork").Process(
-        target=_in_order, args=(task, list(range(20)), 2)
+        target=in_order, args=(task, list(range(20)), 2)
     )
     caller.start()
     writer.close()

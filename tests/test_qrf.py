@@ -349,6 +349,19 @@ def test_signed_zeros_share_a_rank(params):
     assert_matches_oracle(x, y, ForestConfig(seed=5, **params), queries)
 
 
+@pytest.mark.parametrize("params", RANK_CONFIGS)
+def test_neighbouring_subnormals_match_oracle(params):
+    # the midpoint of -5e-324 and a zero rounds to -0.0, the upper value, so
+    # both the forest and the oracle split at the lower one
+    rng = np.random.default_rng(16)
+    values = np.array([-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0])
+    x = np.stack([rng.choice(values, size=180), rng.normal(size=180)], axis=1)
+    y = np.where(x[:, 0] < 0, 0.0, 4.0) + rng.normal(size=180)
+    queries = np.array([[v, 0.0] for v in values])
+    with time_limit(20):
+        assert_matches_oracle(x, y, ForestConfig(seed=8, **params), queries)
+
+
 @pytest.mark.parametrize("min_leaf", [1, 4])
 def test_nodes_of_twice_min_leaf_rows_match_oracle(min_leaf):
     # a node of 2 * min_leaf rows has a single scored position

@@ -119,8 +119,11 @@ def oracle_best_split(x, rows, y_node, feats, min_leaf):
         score = np.where(valid, sse_l + sse_r, np.inf)
         pos = int(np.argmin(score))
         if best is None or score[pos] < best[0]:
-            threshold = 0.5 * (xs[pos] + xs[pos + 1])
-            best = (score[pos], int(f), threshold)
+            lo, hi = xs[pos], xs[pos + 1]
+            # the midpoint of neighbouring doubles may round to the upper
+            # one, which would send every row left; the lower one splits
+            mid = 0.5 * (lo + hi)
+            best = (score[pos], int(f), mid if lo <= mid < hi else lo)
     if best is None:
         return None
     _, f, threshold = best
@@ -152,6 +155,8 @@ def oracle_grow_tree(x, y, orig, config, mtry, rng):
             members[node] = orig[rows]
             continue
         f, thr, mask = split
+        # each child is smaller than its parent, so growth ends
+        assert 0 < mask.sum() < rows.shape[0], (f, thr, rows.shape[0])
         feature[node] = f
         threshold[node] = thr
         left_id, right_id = add_node(), add_node()
