@@ -87,10 +87,39 @@ def _rate_chain(natural):
     return -np.expm1(-np.asarray(natural, dtype=np.float64))
 
 
-def _edge_index(edges) -> tuple[np.ndarray, np.ndarray]:
-    """Source and destination index arrays of an iterable of (src, dst) pairs."""
-    pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
+@dataclass(frozen=True, eq=False)
+class Coupling:
+    """The coupling ModelParams checks and holds: read-only sorted (E, 2) ``edges``
+    (src, dst) and their (E,) ``values``; ``tolist`` gives ``params.json``'s rows."""
+
+    edges: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", _readonly(np.reshape(self.edges, (-1, 2)), np.intp))
+        object.__setattr__(self, "values", _readonly(self.values))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Coupling) and self.tolist() == other.tolist()
+
+    def tolist(self) -> list:
+        return [[*edge, value] for edge, value in zip(self.edges.tolist(), self.values.tolist())]
+
+    def on(self, graph: ServiceGraph) -> np.ndarray:
+        """The value at each of ``graph.edges``, 0.0 where this coupling names
+        none; an edge the graph lacks raises DimensionMismatch."""
+        if np.array_equal(self.edges, graph.edge_index):
+            return self.values
+        slots = {edge: i for i, edge in enumerate(graph.edges)}
+        pairs = list(map(tuple, self.edges.tolist()))
+        if extra := [edge for edge in pairs if edge not in slots]:
+            raise DimensionMismatch(f"coupling keys {extra} not in the graph")
+        values = np.zeros(len(slots))
+        values[[slots[edge] for edge in pairs]] = self.values
+        return values
 
 
 @dataclass(frozen=True)
@@ -146,13 +175,15 @@ class ResponseWeights:
 class ModelParams:
     """Full parameter set.
 
-    coupling maps directed edges ``(src, dst)`` to nonnegative influence
-    weights; the implicit self-coupling of every node is exactly 1 and never
-    trained.  decay/scale are per node, weather_decay per weather variable,
-    all nonnegative.  window is the weather lookback d.
+    coupling, a mapping ``{(src, dst): value}`` of nonnegative influence
+    weights (or another ModelParams' coupling), is held as a ``Coupling``
+    in sorted edge order; an edge it omits reads as 0.  The implicit
+    self-coupling of every node is exactly 1 and never trained.
+    decay/scale are per node, weather_decay per weather variable, all
+    nonnegative.  window is the weather lookback d.
     """
 
-    coupling: dict
+    coupling: "dict | Coupling"
     decay: np.ndarray
     scale: np.ndarray
     weather_decay: np.ndarray
@@ -173,17 +204,21 @@ class ModelParams:
                 f"weather_decay has {wdecay.shape[0]} entries but the response "
                 f"network expects {self.response.n_vars} variables"
             )
-        coupling = {}
-        for key, value in self.coupling.items():
-            src, dst = (int(k) for k in key)
-            if src == dst:
-                raise DimensionMismatch(
-                    f"self-coupling ({src}, {dst}) is implicit and fixed at 1"
-                )
-            value = float(value)
-            if not np.isfinite(value) or value < 0:
-                raise DimensionMismatch(f"coupling[{src}, {dst}] = {value!r} invalid")
-            coupling[(src, dst)] = value
+        coupling = self.coupling
+        if not isinstance(coupling, Coupling):
+            rows = {}
+            for key, value in coupling.items():
+                src, dst = (int(k) for k in key)
+                if src == dst:
+                    raise DimensionMismatch(
+                        f"self-coupling ({src}, {dst}) is implicit and fixed at 1"
+                    )
+                value = float(value)
+                if not np.isfinite(value) or value < 0:
+                    raise DimensionMismatch(f"coupling[{src}, {dst}] = {value!r} invalid")
+                rows[(src, dst)] = value
+            edges = sorted(rows)
+            coupling = Coupling(edges, [rows[edge] for edge in edges])
         for name, arr in (("decay", decay), ("scale", scale), ("weather_decay", wdecay)):
             if np.any(~np.isfinite(arr)) or np.any(arr < 0):
                 raise DimensionMismatch(f"{name} must be finite and nonnegative")
@@ -209,22 +244,16 @@ class ModelParams:
             raise DimensionMismatch(
                 f"params have K={self.n_nodes} but graph has K={graph.n_nodes}"
             )
-        edge_set = {(src, dst) for src, dst, _ in graph.edges}
-        extra = set(self.coupling) - edge_set
-        if extra:
-            raise DimensionMismatch(f"coupling keys {sorted(extra)} not in the graph")
-        mat = np.zeros((self.n_nodes, self.n_nodes))
-        np.fill_diagonal(mat, 1.0)
-        src, dst = _edge_index(self.coupling)
-        mat[dst, src] = list(self.coupling.values())
+        mat = np.eye(self.n_nodes)
+        src, dst = graph.edge_index.T
+        mat[dst, src] = self.coupling.on(graph)
         return mat
 
     def _header(self) -> dict:  # the dimensions to_dict writes next to the arrays
         return dict(n_nodes=self.n_nodes, n_vars=self.n_vars, hidden=self.response.hidden_units)
 
     def to_dict(self) -> dict:
-        coupling = [[src, dst, value] for (src, dst), value in sorted(self.coupling.items())]
-        return dict(field_dict(self), coupling=coupling, **self._header())
+        return dict(field_dict(self), **self._header())
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "params.") -> "ModelParams":
@@ -566,11 +595,8 @@ class ParamPacker:
     """
 
     def __init__(self, graph: ServiceGraph, n_vars: int, hidden: int):
-        self.edge_order: list[tuple[int, int]] = graph.edge_pairs()
-        self.edge_src, self.edge_dst = _edge_index(self.edge_order)
-        self.n_vars = n_vars
-        self.hidden = hidden
-        dims = {"E": len(self.edge_order), "K": graph.n_nodes, "M": n_vars, "H": hidden}
+        self.graph = graph
+        dims = {"E": len(graph.edges), "K": graph.n_nodes, "M": n_vars, "H": hidden}
         self.shapes = {key: tuple(dims[d] for d in shape) for key, shape, _ in _BLOCKS}
         bounds = np.cumsum([0] + [math.prod(shape) for shape in self.shapes.values()])
         self.slices = {
@@ -581,7 +607,7 @@ class ParamPacker:
     def _natural(self, params: ModelParams) -> dict:
         """Each block's values in ``params``, coupling in edge order and 0 where omitted."""
         values = {key: getattr(params if rate else params.response, key) for key, _, rate in _BLOCKS}
-        values["coupling"] = np.array([params.coupling.get(e, 0.0) for e in self.edge_order])
+        values["coupling"] = params.coupling.on(self.graph)
         return values
 
     def _join(self, blocks: dict, rate_map) -> np.ndarray:
@@ -593,7 +619,7 @@ class ParamPacker:
         return out
 
     def pack(self, params: ModelParams) -> np.ndarray:
-        if params.response.hidden_units != self.hidden or params.n_vars != self.n_vars:
+        if params.response.w_hidden.shape != self.shapes["w_hidden"]:
             raise DimensionMismatch("params do not match this packer's dimensions")
         return self._join(self._natural(params), lambda key, values: softplus_inv(values))
 
@@ -615,7 +641,7 @@ class ParamPacker:
                 rates[key] = np.where(moved[sl], softplus(raw[sl]), start[key])
             else:
                 weights[key] = raw[sl].reshape(self.shapes[key])
-        rates["coupling"] = dict(zip(self.edge_order, map(float, rates["coupling"])))
+        rates["coupling"] = Coupling(self.graph.edge_index, rates["coupling"])
         return ModelParams(
             **rates, response=ResponseWeights(**weights), window=init.window, seed=init.seed
         )
@@ -645,7 +671,8 @@ def likelihood_gradient(
     d_scale = np.sum(dll_drate * fwd.response, axis=1)
     # coupling: cross matrix G[dst, src] = sum_t dll_drate[dst, t] * S[src, t]
     cross = dll_drate @ fwd.excite.T
-    d_coupling = cross[packer.edge_dst, packer.edge_src]
+    src, dst = packer.graph.edge_index.T
+    d_coupling = cross[dst, src]
     # decay[j] feeds every node that pools j, weighted by the coupling
     pooled = fwd.mat.T @ dll_drate
     d_decay = np.sum(fwd.excite_sens * pooled, axis=1)
@@ -741,6 +768,7 @@ def fit(
     lo, hi = sl.start + 1, sl.stop
     packer = ParamPacker(graph, init.n_vars, init.response.hidden_units)
     raw_init = packer.pack(init)
+    init = packer.unpack_preserving(raw_init, raw_init, init)  # a value on every graph edge
     raw = raw_init.copy()
 
     def checkpoint_ll(raw_vec):

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 File formats (UTF-8, comma separated, decimal points, one header row):
 
-* edge list:   ``src,dst[,weight]``
+* edge list:   ``src,dst``
 * weather:     ``unit,time,variable,value``  (long format, dense)
 * counts:      ``unit,time,count``
 """
@@ -24,6 +24,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +64,13 @@ def _readonly(arr, dtype=np.float64) -> np.ndarray:
 class ServiceGraph:
     """Directed influence graph over K geographical units.
 
-    ``edges`` holds ``(src, dst, weight)`` triples.  Weights are parsed and
-    stored but unused by the core algorithms (reserved for weighted-edge
-    extensions); they default to 1.0.
+    ``edges`` holds the ``(src, dst)`` pairs in sorted order, the order of
+    the coupling parameters; ``edge_index`` is the same list as a read-only
+    (E, 2) array, built on first use.
     """
 
     n_nodes: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: tuple[tuple[int, int], ...]
     neighbors: tuple[frozenset[int], ...] = field(repr=False)
 
     @classmethod
@@ -78,7 +79,7 @@ class ServiceGraph:
         n_nodes: int,
         edges: "list[tuple] | tuple[tuple, ...]" = (),
     ) -> "ServiceGraph":
-        """Validate an edge list and build neighbor sets.
+        """Validate a list of (src, dst) pairs and build neighbor sets.
 
         Raises DuplicateEdge, SymmetricEdgePair, UnknownNodeReference, or
         MalformedRow on contract violations.
@@ -86,17 +87,10 @@ class ServiceGraph:
         if n_nodes < 1:
             raise MalformedRow(f"need at least one node, got {n_nodes}")
         seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int, float]] = []
         for edge in edges:
-            if len(edge) == 2:
-                src, dst = edge
-                weight = 1.0
-            elif len(edge) == 3:
-                src, dst, weight = edge
-            else:
-                raise MalformedRow(f"edge {edge!r} is not (src, dst[, weight])")
-            src, dst = int(src), int(dst)
-            weight = float(weight)
+            if len(edge) != 2:
+                raise MalformedRow(f"edge {edge!r} is not (src, dst)")
+            src, dst = int(edge[0]), int(edge[1])
             if not (0 <= src < n_nodes) or not (0 <= dst < n_nodes):
                 raise UnknownNodeReference(
                     f"edge ({src}, {dst}) references a node outside 0..{n_nodes - 1}"
@@ -105,8 +99,6 @@ class ServiceGraph:
                 raise MalformedRow(
                     f"explicit self-loop ({src}, {dst}); self-influence is implicit"
                 )
-            if not math.isfinite(weight) or weight < 0:
-                raise MalformedRow(f"edge ({src}, {dst}) has bad weight {weight!r}")
             if (src, dst) in seen:
                 raise DuplicateEdge(f"edge ({src}, {dst}) appears twice")
             if (dst, src) in seen:
@@ -114,13 +106,12 @@ class ServiceGraph:
                     f"both ({src}, {dst}) and ({dst}, {src}) present"
                 )
             seen.add((src, dst))
-            norm.append((src, dst, weight))
         nbrs = [{i} for i in range(n_nodes)]
-        for src, dst, _ in norm:
+        for src, dst in seen:
             nbrs[dst].add(src)
         return cls(
             n_nodes=n_nodes,
-            edges=tuple(norm),
+            edges=tuple(sorted(seen)),
             neighbors=tuple(frozenset(s) for s in nbrs),
         )
 
@@ -130,7 +121,11 @@ class ServiceGraph:
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Sorted (src, dst) pairs; the canonical coupling-parameter order."""
-        return sorted((src, dst) for src, dst, _ in self.edges)
+        return list(self.edges)
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        return _readonly(np.array(self.edges, dtype=np.intp).reshape(-1, 2), np.intp)
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,7 @@ def split(panel: PanelDataset, fractions: "tuple[float, float, float]") -> DataS
 # CSV ingestion
 # --------------------------------------------------------------------------
 
-_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64)])
 _WEATHER_ROW = np.dtype(
     [("unit", np.int64), ("time", np.int64), ("variable", np.int64), ("value", np.float64)]
 )
@@ -247,21 +242,10 @@ _WEATHER_ROW = np.dtype(
 _COUNTS_ROW = np.dtype([("unit", np.int64), ("time", np.int64), ("count", np.float64)])
 
 
-def _check_header(path, header, expected, optional_last=False, error=MalformedRow):
-    header = [h.strip() for h in header]
-    short = expected[:-1] if optional_last else expected
-    if header != expected and header != short:
-        raise error(
-            f"{path}: header {header} does not match {expected}"
-            + (f" or {short}" if optional_last else "")
-        )
-
-
 def read_table(
     path: "str | Path",
     row_dtype: np.dtype,
     error=MalformedRow,
-    optional_last: bool = False,
     empty_ok: bool = False,
 ) -> np.ndarray:
     """The data rows of a CSV whose header names ``row_dtype``'s fields.
@@ -270,8 +254,7 @@ def read_table(
     may be quoted or padded with spaces, and blank lines are skipped.  An
     empty file, a wrong header, a row with the wrong number of fields, a
     token that does not parse as its field's type, and (unless ``empty_ok``)
-    a file without data rows raise ``error``.  With ``optional_last`` the
-    header may omit the last field, and then every row must omit it too.
+    a file without data rows raise ``error``.
     """
     path = Path(path)
     names = list(row_dtype.names)
@@ -280,10 +263,9 @@ def read_table(
             line = handle.readline()
             if not line:
                 raise error(f"{path}: empty file, expected header row")
-            header = next(csv.reader([line]), [])
-            _check_header(path, header, names, optional_last, error)
-            if len(header) < len(names):
-                row_dtype = row_dtype[names[:-1]]
+            header = [h.strip() for h in next(csv.reader([line]), [])]
+            if header != names:
+                raise error(f"{path}: header {header} does not match {names}")
             with warnings.catch_warnings():
                 # a header-only file is reported below instead
                 warnings.filterwarnings(
@@ -388,21 +370,17 @@ def _dense(path, rows, shape, cells, missing, values: np.ndarray) -> np.ndarray:
 
 
 def load_graph(edge_file: "str | Path", n_nodes: int) -> ServiceGraph:
-    """Read an edge-list CSV (header ``src,dst[,weight]``) over nodes 0..n_nodes-1.
+    """Read an edge-list CSV (header ``src,dst``) over nodes 0..n_nodes-1.
 
     The file carries no node universe of its own, so isolated nodes and a
-    header-only file (no edges) are allowed.  Without a weight column every
-    weight is 1.0.
+    header-only file (no edges) are allowed.
     """
-    rows = read_table(edge_file, _EDGE_ROW, optional_last=True, empty_ok=True)
-    src, dst = rows["src"].tolist(), rows["dst"].tolist()
-    weights = rows["weight"].tolist() if "weight" in rows.dtype.names else [1.0] * len(src)
-    return ServiceGraph.from_edges(n_nodes, list(zip(src, dst, weights)))
+    rows = read_table(edge_file, _EDGE_ROW, empty_ok=True)
+    return ServiceGraph.from_edges(n_nodes, rows.tolist())
 
 
 def write_graph(graph: ServiceGraph, edge_file: "str | Path") -> None:
-    rows = (f"{src},{dst},{weight!r}\n" for src, dst, weight in sorted(graph.edges))
-    write_csv(edge_file, "src,dst,weight\n", rows)
+    write_csv(edge_file, "src,dst\n", (f"{src},{dst}\n" for src, dst in graph.edges))
 
 
 def load_panel(weather_file: "str | Path", counts_file: "str | Path") -> PanelDataset:

@@ -120,16 +120,10 @@ class GraphSpec:
             rows = int(np.floor(np.sqrt(k))) if self.grid_rows is None else self.grid_rows
             if rows < 1 or k % rows != 0:
                 raise DimensionMismatch(f"grid with {k} nodes and {rows} rows")
+            # each node is excited by its left and its upper neighbor
             cols = k // rows
-            edges = []
-            for r in range(rows):
-                for c in range(cols):
-                    idx = r * cols + c
-                    if c > 0:
-                        edges.append((idx - 1, idx))
-                    if r > 0:
-                        edges.append((idx - cols, idx))
-            return ServiceGraph.from_edges(k, edges)
+            left = [(i - 1, i) for i in range(k) if i % cols]
+            return ServiceGraph.from_edges(k, left + [(i - cols, i) for i in range(cols, k)])
         raise DimensionMismatch(f"unknown graph kind {self.kind!r}")
 
     to_dict = field_dict

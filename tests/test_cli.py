@@ -91,7 +91,7 @@ def test_invalid_json_exits_2(tmp_path):
 
 def test_validation_failure_exits_4(tmp_path):
     # counts file with a negative entry
-    (tmp_path / "graph.csv").write_text("src,dst,weight\n0,1,1.0\n")
+    (tmp_path / "graph.csv").write_text("src,dst\n0,1\n")
     (tmp_path / "w.csv").write_text(
         "unit,time,variable,value\n0,1,0,0.0\n0,2,0,0.0\n1,1,0,0.0\n1,2,0,0.0\n"
     )
@@ -289,6 +289,22 @@ def test_predict_range_outside_panel_exits_4(tmp_path):
         out = tmp_path / f"p{bad[0]}"
         assert cli_main(["predict", "--config", config, "--out", str(out)]) == 4, bad
         assert not (out / "predictions.csv").exists()
+
+
+def test_predict_on_a_weighted_edge_list_exits_4(tmp_path, capsys):
+    # a third column used to be read as an edge weight that no algorithm used:
+    # weight 5.0 exited 0 with the forecasts of weight 1.0
+    inputs = fitted_model(tmp_path)
+    graph_file = tmp_path / "weighted.csv"
+    graph_file.write_text("src,dst,weight\n" + "".join(f"0,{j},5.0\n" for j in range(1, 5)))
+    config = write_json(
+        tmp_path / "predict.json", {**inputs, "graph_file": str(graph_file), "range": [5, 8]}
+    )
+    capsys.readouterr()
+    assert cli_main(["predict", "--config", config, "--out", str(tmp_path / "p")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "header ['src', 'dst', 'weight']" in err[0], err
+    assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

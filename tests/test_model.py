@@ -290,7 +290,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_has_no_self_coupling_coordinate():
     graph, panel, params = rand_instance(4)
     packer = ParamPacker(graph, params.n_vars, params.response.hidden_units)
-    assert all(src != dst for src, dst in packer.edge_order)
+    assert all(src != dst for src, dst in packer.graph.edges)
     coupling = packer.slices["coupling"]
     assert coupling.stop - coupling.start == len(graph.edges)
     k, m, h = graph.n_nodes, params.n_vars, params.response.hidden_units
@@ -313,6 +313,19 @@ def test_coupling_that_omits_an_edge_reads_it_as_zero():
     got, want = (fit(panel, graph, p, config) for p in (omitted, zeroed))
     assert got.params.to_dict() == want.params.to_dict()
     assert got.checkpoints.tobytes() == want.checkpoints.tobytes()
+
+
+def test_coupling_of_an_edge_outside_the_graph_raises():
+    # fit used to drop such an edge without a word, where intensity raised
+    rng = np.random.default_rng(24)
+    graph = ServiceGraph.from_edges(3, [(0, 1)])
+    panel = PanelDataset.build(rng.normal(size=(3, 30, 1)), rng.poisson(1.5, size=(3, 30)))
+    params = simple_params(graph, coupling={(0, 1): 0.3, (1, 2): 0.2})
+    calls = (lambda: intensity(panel, graph, params),
+             lambda: fit(panel, graph, params, FitConfig(epochs=1, batch_len=8)))
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match=r"coupling keys \[\(1, 2\)\] not in the graph"):
+            call()
 
 
 def test_gradient_zero_for_coupling_without_excitation():
@@ -400,7 +413,7 @@ def test_fit_keeps_parameters_nonnegative():
     out = result.params
     assert np.all(out.decay >= 0) and np.all(out.scale >= 0)
     assert np.all(out.weather_decay >= 0)
-    assert all(v >= 0 for v in out.coupling.values())
+    assert np.all(out.coupling.values >= 0)
 
 
 def test_fit_raises_on_nonfinite_start():

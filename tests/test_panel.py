@@ -80,11 +80,9 @@ def test_neighborhood_sizes_sum_to_nodes_plus_edges(n_nodes, pair_ids):
         src, dst = pid // 8, pid % 8
         if src == dst or src >= n_nodes or dst >= n_nodes:
             continue
-        if (dst, src) in [(a, b) for a, b, _ in edges] or (src, dst) in [
-            (a, b) for a, b, _ in edges
-        ]:
+        if (dst, src) in edges or (src, dst) in edges:
             continue
-        edges.append((src, dst, 1.0))
+        edges.append((src, dst))
     graph = ServiceGraph.from_edges(n_nodes, edges)
     total = sum(len(graph.neighborhood(i)) for i in range(n_nodes))
     assert total == n_nodes + len(graph.edges)
@@ -110,19 +108,31 @@ def test_antisymmetry_rejects_exactly_two_cycles(a, b, extra):
 
 
 def test_graph_file_round_trip(tmp_path):
-    graph = ServiceGraph.from_edges(4, [(0, 1, 2.0), (2, 3), (1, 3)])
+    graph = ServiceGraph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
+    assert graph.edges == ((0, 1), (1, 3), (2, 3))
     path = tmp_path / "graph.csv"
     write_graph(graph, path)
+    assert path.read_text() == "src,dst\n0,1\n1,3\n2,3\n"
     loaded = load_graph(path, n_nodes=4)
-    assert loaded.edges == tuple(sorted(graph.edges))
+    assert loaded == graph
     assert loaded.neighbors == graph.neighbors
+
+
+def test_edge_with_a_third_field_is_malformed(tmp_path):
+    # a weight used to be parsed, stored and written, and no algorithm read it
+    with pytest.raises(MalformedRow, match=r"is not \(src, dst\)"):
+        ServiceGraph.from_edges(2, [(0, 1, 5.0)])
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst,weight\n0,1,5.0\n")
+    with pytest.raises(MalformedRow, match=r"header \['src', 'dst', 'weight'\]"):
+        load_graph(path, n_nodes=2)
 
 
 def test_load_graph_requires_node_count_for_isolated_nodes(tmp_path):
     path = tmp_path / "edges.csv"
-    path.write_text("src,dst,weight\n0,1,1.0\n")
+    path.write_text("src,dst\n0,1\n")
     assert load_graph(path, n_nodes=3).n_nodes == 3
-    path.write_text("src,dst,weight\n")
+    path.write_text("src,dst\n")
     assert load_graph(path, n_nodes=2).edges == ()
 
 
