@@ -451,15 +451,16 @@ def _excitation_filtered(counts, decay, damp, with_sensitivity) -> tuple:
 @dataclass
 class _Forward:
     """One forward pass over the n time columns ``cols`` of the panel; every
-    array over time holds those columns only."""
+    array over time holds those columns only.  Only gradients read the fields
+    that may be None; a pass without sensitivity leaves them None."""
 
     cols: slice  # 0-based time columns of the pass
-    v: np.ndarray  # (K, n, M) cumulative weather
+    v: "np.ndarray | None"  # (K, n, M) cumulative weather
     v_age: "np.ndarray | None"  # (K, n, M) its age tensor
-    hidden: np.ndarray  # (K, n, H) tanh activations
+    hidden: "np.ndarray | None"  # (K, n, H) tanh activations
     excite: np.ndarray  # (K, n)
     excite_sens: "np.ndarray | None"  # (K, n)
-    pre_out: np.ndarray  # (K, n) response pre-activation
+    pre_out: "np.ndarray | None"  # (K, n) response pre-activation
     response: np.ndarray  # (K, n)
     raw_rates: np.ndarray  # (K, n) before flooring
     rates: np.ndarray  # (K, n)
@@ -497,7 +498,9 @@ def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _
     up to the range's end, and the weather kernel over the range plus the
     window before it.  The two matrix products over time run on operands
     zero-padded to the panel's width, so they round exactly as in a pass
-    over the whole panel.
+    over the whole panel.  Without sensitivity, each array only gradients
+    read is dropped as soon as the rates no longer need it, and the hidden
+    layer is activated in place.
     """
     _check_dims(panel, graph, params)
     cols = _range_slice(panel, time_range)
@@ -519,9 +522,18 @@ def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _
         v = cumulative_weather(weather, params.weather_decay, params.window)
     v = v[:, inner]
     hidden = _widen(v, t_total, cols.start) @ weights.w_hidden.T
-    np.tanh(hidden[:, cols] + weights.b_hidden, out=hidden[:, cols])
+    active = hidden[:, cols]
+    if with_sensitivity:
+        # faster than in place on a block's strided columns, which numpy buffers
+        np.tanh(active + weights.b_hidden, out=active)
+    else:
+        v = None
+        np.add(active, weights.b_hidden, out=active)
+        np.tanh(active, out=active)
     pre_out = (hidden @ weights.w_out)[:, cols] + weights.b_out
     response = softplus(pre_out)
+    if not with_sensitivity:
+        hidden = active = pre_out = None
     counts = panel.counts[:, : cols.stop]
     excite_sens = None
     if with_sensitivity:
@@ -533,7 +545,7 @@ def _forward(panel, graph, params, time_range=None, with_sensitivity=False) -> _
     raw_rates = params.scale[:, None] * response + (mat @ _widen(excite, t_total, 0))[:, cols]
     rates = np.maximum(raw_rates, INTENSITY_FLOOR)
     return _Forward(
-        cols, v, v_age, hidden[:, cols], excite[:, cols], excite_sens,
+        cols, v, v_age, active, excite[:, cols], excite_sens,
         pre_out, response, raw_rates, rates, mat,
     )
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,7 +56,8 @@ __all__ = [
 
 
 def _readonly(arr, dtype=np.float64) -> np.ndarray:
-    arr = np.asarray(arr, dtype=dtype)
+    """A read-only copy of ``arr``, so freezing never reaches the caller's array."""
+    arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -158,13 +160,10 @@ class PanelDataset:
                 raise NonIntegerCount("counts contain non-integral values")
             counts_arr = rounded.astype(np.int64)
         else:
-            counts_arr = counts_arr.astype(np.int64)
+            counts_arr = counts_arr.astype(np.int64, copy=False)
         if np.any(counts_arr < 0):
             raise NegativeCount("counts contain negative values")
-        return cls(
-            weather=_readonly(weather.copy()),
-            counts=_readonly(counts_arr.copy(), np.int64),
-        )
+        return cls(weather=_readonly(weather), counts=_readonly(counts_arr, np.int64))
 
     @property
     def n_nodes(self) -> int:
@@ -240,6 +239,59 @@ _WEATHER_ROW = np.dtype(
 )
 # counts parse as floats, so "3.0" reads as 3 and "2.5" is a non-integer count
 _COUNTS_ROW = np.dtype([("unit", np.int64), ("time", np.int64), ("count", np.float64)])
+# data rows per np.loadtxt call: a block of weather rows takes 2 MiB
+_BLOCK_ROWS = 65_536
+
+
+def _read_blocks(path: "str | Path", row_dtype: np.dtype, error=MalformedRow, empty_ok=False):
+    """The data rows of a CSV whose header names ``row_dtype``'s fields, as
+    structured arrays of at most ``_BLOCK_ROWS`` rows.
+
+    Each block is one ``np.loadtxt`` call on the open file, which resumes
+    after the rows the last call consumed, so no whole-file array is made.
+    Fields may be quoted or padded with spaces, and blank lines are skipped.
+    An empty file, a wrong header, a row with the wrong number of fields, a
+    token that does not parse as its field's type, and (unless ``empty_ok``)
+    a file without data rows raise ``error``; a parse error names the row
+    as it counts among the file's data rows.
+    """
+    path = Path(path)
+    names = list(row_dtype.names)
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        done = 0
+        try:
+            line = handle.readline()
+            if not line:
+                raise error(f"{path}: empty file, expected header row")
+            header = [h.strip() for h in next(csv.reader([line]), [])]
+            if header != names:
+                raise error(f"{path}: header {header} does not match {names}")
+            while True:
+                with warnings.catch_warnings():
+                    # the last call finds no rows (a header-only file is reported
+                    # below), and blank lines are skipped rather than counted
+                    for message in ("loadtxt: input contained no data", "Input line"):
+                        warnings.filterwarnings("ignore", message, UserWarning)
+                    block = np.loadtxt(
+                        handle,
+                        dtype=row_dtype,
+                        delimiter=",",
+                        quotechar='"',
+                        comments=None,
+                        ndmin=1,
+                        max_rows=_BLOCK_ROWS,
+                    )
+                last = block.size < _BLOCK_ROWS
+                if last and not (done or block.size or empty_ok):
+                    raise error(f"{path}: no data rows")
+                yield block
+                if last:
+                    return
+                done += block.size
+        except ValueError as exc:
+            # loadtxt counts rows from the start of its own call
+            message = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + done}", str(exc))
+            raise error(f"{path}: {message}") from None
 
 
 def read_table(
@@ -248,42 +300,8 @@ def read_table(
     error=MalformedRow,
     empty_ok: bool = False,
 ) -> np.ndarray:
-    """The data rows of a CSV whose header names ``row_dtype``'s fields.
-
-    One ``np.loadtxt`` pass parses every row into a structured array.  Fields
-    may be quoted or padded with spaces, and blank lines are skipped.  An
-    empty file, a wrong header, a row with the wrong number of fields, a
-    token that does not parse as its field's type, and (unless ``empty_ok``)
-    a file without data rows raise ``error``.
-    """
-    path = Path(path)
-    names = list(row_dtype.names)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        try:
-            line = handle.readline()
-            if not line:
-                raise error(f"{path}: empty file, expected header row")
-            header = [h.strip() for h in next(csv.reader([line]), [])]
-            if header != names:
-                raise error(f"{path}: header {header} does not match {names}")
-            with warnings.catch_warnings():
-                # a header-only file is reported below instead
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                rows = np.loadtxt(
-                    handle,
-                    dtype=row_dtype,
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    ndmin=1,
-                )
-        except ValueError as exc:
-            raise error(f"{path}: {exc}") from None
-    if rows.size == 0 and not empty_ok:
-        raise error(f"{path}: no data rows")
-    return rows
+    """``_read_blocks``' blocks joined into one structured array."""
+    return np.concatenate(list(_read_blocks(path, row_dtype, error, empty_ok)))
 
 
 def write_csv(path: "str | Path", header: str, blocks) -> None:
@@ -310,63 +328,74 @@ def read_json(path: "str | Path") -> dict:
     return doc
 
 
-def _reject(path, rows: np.ndarray, bad: np.ndarray, error, what: str) -> None:
-    if bad.any():
-        raise error(f"{path}: {what} in row {rows[np.argmax(bad)].tolist()}")
+def _read_grid(path, row_dtype: np.dtype, value_dtype, value_checks):
+    """Read a long-format panel file into the grid its ids imply.
 
+    Returns the grid shape, the values as ``value_dtype`` placed on it in C
+    order (flat), and the first cell no row names (None when every cell has
+    a row; the values are then None too).
 
-def _cell_index(path, rows: np.ndarray) -> tuple[tuple, np.ndarray, "int | None"]:
-    """The grid shape the rows imply, each row's C-order cell index, and the
-    first cell no row names (None when every cell has a row).
-
-    Ids out of domain and a cell named twice raise MalformedRow.  When there
-    are as many rows as cells, marking them shows at once whether each cell
-    has exactly one row.  Otherwise repeats and gaps are found by sorting
-    rather than by ``np.bincount``, so a mistyped id that implies a huge grid
-    costs memory per row, not per cell.
+    The file is read in ``_read_blocks``' blocks.  Between blocks only each
+    row's ids (time 0-based), in the narrowest unsigned dtype that holds
+    them, and its value are kept.  ``value_checks`` are ``(test, error,
+    what)`` triples, ``test`` marking bad values; after the last block the
+    first offending row of the first check that failed raises ``error``.
+    Then ids out of domain and a cell named twice raise MalformedRow.  When
+    there are as many rows as cells, marking them shows at once whether each
+    cell has exactly one row.  Otherwise repeats and gaps are found by
+    sorting rather than by ``np.bincount``, so a mistyped id that implies a
+    huge grid costs memory per row, not per cell.
     """
     # every field but the last is a coordinate; time is 1-based in files
-    names = rows.dtype.names[:-1]
-    keys = [rows[n] - 1 if n == "time" else rows[n] for n in names]
-    _reject(
-        path,
-        rows,
-        np.logical_or.reduce([key < 0 for key in keys]),
-        MalformedRow,
-        f"{'/'.join(names)} out of domain",
-    )
-    shape = tuple(int(key.max()) + 1 for key in keys)
+    names = row_dtype.names[:-1]
+    checks = [*value_checks, (None, MalformedRow, f"{'/'.join(names)} out of domain")]
+    first_bad = [None] * len(checks)
+    ids, values = [], []
+    for block in _read_blocks(path, row_dtype):
+        value = block[row_dtype.names[-1]]
+        keys = [block[n] - 1 if n == "time" else block[n] for n in names]
+        bads = [test(value) for test, _, _ in value_checks]
+        bads.append(np.logical_or.reduce([key < 0 for key in keys]))
+        for i, bad in enumerate(bads):
+            if first_bad[i] is None and bad.any():
+                first_bad[i] = block[np.argmax(bad)].tolist()
+        # after a failed check only a parse error can still change the verdict
+        if block.size and all(row is None for row in first_bad):
+            ids.append([key.astype(np.min_scalar_type(key.max())) for key in keys])
+            values.append(value.astype(value_dtype))
+    for (_, error, what), row in zip(checks, first_bad):
+        if row is not None:
+            raise error(f"{path}: {what} in row {row}")
+
+    shape = tuple(int(max(key.max() for key in column)) + 1 for column in zip(*ids))
     size = math.prod(shape)
     if size >= 2**63:
         raise MalformedRow(f"{path}: ids imply a {shape} grid, too large to index")
-    cells = np.ravel_multi_index(keys, shape)
-    if cells.size == size:
+    n_rows = sum(block.size for block in values)
+    if n_rows == size:
         seen = np.zeros(size, dtype=bool)
-        seen[cells] = True
+        dense = np.empty(size, dtype=value_dtype)
+        for keys, value in zip(ids, values):
+            cells = np.ravel_multi_index(keys, shape)
+            seen[cells] = True
+            dense[cells] = value
         if seen.all():
-            return shape, cells, None
+            return shape, dense, None
+        del seen, dense
+    cells = np.concatenate([np.ravel_multi_index(keys, shape) for keys in ids])
     ordered = np.sort(cells)
     repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
     if repeats.size:
-        row = np.flatnonzero(cells == ordered[repeats[0]])[1]
-        raise MalformedRow(f"{path}: duplicate cell in row {rows[row].tolist()}")
+        # every block but the last holds _BLOCK_ROWS rows
+        block, at = divmod(int(np.flatnonzero(cells == ordered[repeats[0]])[1]), _BLOCK_ROWS)
+        keys = [int(key[at]) + (name == "time") for name, key in zip(names, ids[block])]
+        raise MalformedRow(
+            f"{path}: duplicate cell in row {(*keys, float(values[block][at]))}"
+        )
     # the sorted indices are distinct and fewer than the cells, so the first
     # gap is the first missing cell
     gaps = np.flatnonzero(ordered != np.arange(ordered.size))
-    return shape, cells, int(gaps[0]) if gaps.size else ordered.size
-
-
-def _dense(path, rows, shape, cells, missing, values: np.ndarray) -> np.ndarray:
-    """``values`` placed on the grid; raises MissingCell if cell ``missing`` is not None."""
-    if missing is not None:
-        where = ", ".join(
-            f"{name}={int(i) + 1 if name == 'time' else int(i)}"
-            for name, i in zip(rows.dtype.names, np.unravel_index(missing, shape))
-        )
-        raise MissingCell(f"{path}: cell ({where}) missing")
-    dense = np.empty(cells.size, dtype=values.dtype)
-    dense[cells] = values
-    return dense.reshape(shape)
+    return shape, None, int(gaps[0]) if gaps.size else ordered.size
 
 
 def load_graph(edge_file: "str | Path", n_nodes: int) -> ServiceGraph:
@@ -383,38 +412,39 @@ def write_graph(graph: ServiceGraph, edge_file: "str | Path") -> None:
     write_csv(edge_file, "src,dst\n", (f"{src},{dst}\n" for src, dst in graph.edges))
 
 
+# each file's value checks, in the order they are reported
+_WEATHER_CHECKS = ((lambda value: ~np.isfinite(value), MalformedRow, "non-finite value"),)
+_COUNT_CHECKS = (
+    (lambda raw: ~np.isfinite(raw) | (raw != np.floor(raw)), NonIntegerCount,
+     "count is not an integer"),
+    (lambda raw: raw < 0, NegativeCount, "negative count"),
+    (lambda raw: raw >= 2.0**63, MalformedRow, "count beyond int64"),
+)
+
+
 def load_panel(weather_file: "str | Path", counts_file: "str | Path") -> PanelDataset:
     """Read long-format weather and counts CSVs into dense validated arrays.
 
     Units must be 0..K-1 and times 1..T with every cell present; any gap
     raises MissingCell.
     """
-    weather_rows = read_table(weather_file, _WEATHER_ROW)
-    values = weather_rows["value"]
-    _reject(weather_file, weather_rows, ~np.isfinite(values), MalformedRow, "non-finite value")
-    weather_grid = _cell_index(weather_file, weather_rows)
-
-    count_rows = read_table(counts_file, _COUNTS_ROW)
-    raw = count_rows["count"]
-    _reject(
-        counts_file,
-        count_rows,
-        ~np.isfinite(raw) | (raw != np.floor(raw)),
-        NonIntegerCount,
-        "count is not an integer",
-    )
-    _reject(counts_file, count_rows, raw < 0, NegativeCount, "negative count")
-    _reject(counts_file, count_rows, raw >= 2.0**63, MalformedRow, "count beyond int64")
-    counts_grid = _cell_index(counts_file, count_rows)
-
-    (k_w, t_w, _), (k_c, t_c) = weather_grid[0], counts_grid[0]
+    weather = _read_grid(weather_file, _WEATHER_ROW, np.float64, _WEATHER_CHECKS)
+    counts = _read_grid(counts_file, _COUNTS_ROW, np.int64, _COUNT_CHECKS)
+    (k_w, t_w, _), (k_c, t_c) = weather[0], counts[0]
     if (k_w, t_w) != (k_c, t_c):
         raise DimensionMismatch(
             f"weather implies (K={k_w}, T={t_w}) but counts imply (K={k_c}, T={t_c})"
         )
-    weather = _dense(weather_file, weather_rows, *weather_grid, values)
-    counts = _dense(counts_file, count_rows, *counts_grid, raw.astype(np.int64))
-    return PanelDataset.build(weather, counts)
+    for path, row_dtype, (shape, _, missing) in (
+        (weather_file, _WEATHER_ROW, weather), (counts_file, _COUNTS_ROW, counts)
+    ):
+        if missing is not None:
+            where = ", ".join(
+                f"{name}={int(i) + 1 if name == 'time' else int(i)}"
+                for name, i in zip(row_dtype.names, np.unravel_index(missing, shape))
+            )
+            raise MissingCell(f"{path}: cell ({where}) missing")
+    return PanelDataset.build(weather[1].reshape(weather[0]), counts[1].reshape(counts[0]))
 
 
 def unit_lines(tails: list[str]):

@@ -1,6 +1,7 @@
 """Test-only helpers: an exchangeable i.i.d. regression sampler, the
 excitation stability diagnostics, a zero response network, views of a
-fitted forest's trees and weights, and a time limit for a block.
+fitted forest's trees and weights, the CSV readers' block sizes, a peak
+memory probe, and a time limit for a block.
 
 Only tests use them, so they live here rather than in ``graphcp``.
 """
@@ -8,11 +9,13 @@ Only tests use them, so they live here rather than in ``graphcp``.
 from __future__ import annotations
 
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from graphcp import panel
 from graphcp.errors import DimensionMismatch
 from graphcp.model import ModelParams, ResponseWeights
 from graphcp.panel import ServiceGraph
@@ -126,6 +129,34 @@ def forest_debug_dict(forest) -> dict:
             for tree in forest.trees
         ],
     }
+
+
+# --------------------------------------------------------------------------
+# Panel reading and memory
+# --------------------------------------------------------------------------
+
+# block sizes that put block boundaries inside small test files, then the default
+BLOCK_ROWS = (1, 2, 5, panel._BLOCK_ROWS)
+
+
+def each_block_size(monkeypatch):
+    """Set the CSV readers' block size to each of ``BLOCK_ROWS`` in turn and
+    yield it; the default is the last, and ``monkeypatch`` restores it."""
+    for rows in BLOCK_ROWS:
+        monkeypatch.setattr(panel, "_BLOCK_ROWS", rows)
+        yield rows
+
+
+def traced_peak(fn):
+    """``fn()`` and the most memory it held at once beyond what was held at
+    its start, as ``tracemalloc`` sees it (numpy reports its buffers there)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 # --------------------------------------------------------------------------

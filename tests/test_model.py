@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from graphcp import model
 from graphcp.errors import ConfigError, DimensionMismatch, NonFiniteLoss
 from graphcp.model import (
     INTENSITY_FLOOR,
+    Coupling,
     FitConfig,
     ModelParams,
     ParamPacker,
@@ -23,7 +25,7 @@ from graphcp.model import (
     softplus_inv,
 )
 from graphcp.panel import PanelDataset, ServiceGraph
-from tests.support import zero_response
+from tests.support import traced_peak, zero_response
 
 
 def brute_cumulative(weather, rates, window):
@@ -209,6 +211,23 @@ def test_intensity_recursion_vs_brute_force_coupled():
     base = params.scale[:, None] * np.log(2.0)  # zero response weights
     lam_brute = np.maximum(base + mat @ ex_brute, INTENSITY_FLOOR)
     assert np.max(np.abs(lam - lam_brute)) <= 1e-10
+
+
+def test_intensity_peak_memory_per_cell():
+    # the rates take 8 bytes a cell; a pass that kept the cumulative weather,
+    # the widened hidden layer and the pre-activation to its end peaked at 94
+    rng = np.random.default_rng(4)
+    k, t_total = 400, 500
+    graph = ServiceGraph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
+    panel = PanelDataset.build(
+        rng.normal(size=(k, t_total, 2)), rng.poisson(2.0, size=(k, t_total))
+    )
+    response = ResponseWeights.random(4, 2, rng)
+    params = simple_params(graph, m_total=2, hidden=4, response=response, window=24)
+    rates, peak = traced_peak(lambda: intensity(panel, graph, params))
+    assert peak <= 80 * k * t_total, peak / (k * t_total)
+    # dropping what only gradients read leaves the rates' bits alone
+    assert np.array_equal(rates, model._forward(panel, graph, params, with_sensitivity=True).rates)
 
 
 # ------------------------------------------------------- likelihood
@@ -463,6 +482,23 @@ def test_params_json_round_trip_is_bit_exact(tmp_path):
     # and the serialized text itself is a fixpoint
     save_params(loaded, tmp_path / "params2.json")
     assert path.read_bytes() == (tmp_path / "params2.json").read_bytes()
+
+
+def test_params_leave_the_callers_arrays_writable_and_unshared():
+    # the constructors froze the arrays they were given: d[0] = 1.0 then raised
+    decay, w_hidden = np.full(2, 0.9), np.zeros((3, 1))
+    edges, values = np.array([[0, 1]], dtype=np.intp), np.array([0.5])
+    params = ModelParams(
+        coupling=Coupling(edges, values), decay=decay, scale=np.ones(2),
+        weather_decay=np.ones(1),
+        response=ResponseWeights(w_hidden, np.zeros(3), np.zeros(3), 0.0), window=1,
+    )
+    decay[0], w_hidden[0, 0], edges[0, 0], values[0] = 1.0, 2.0, 1, 3.0
+    assert params.decay.tolist() == [0.9, 0.9]
+    assert params.response.w_hidden.tolist() == [[0.0], [0.0], [0.0]]
+    assert params.coupling.tolist() == [[0, 1, 0.5]]
+    with pytest.raises(ValueError, match="read-only"):
+        params.decay[0] = 1.0
 
 
 def test_params_header_may_be_absent_but_must_match():

@@ -23,6 +23,7 @@ from graphcp.panel import (
     write_graph,
     write_panel,
 )
+from tests.support import each_block_size, traced_peak
 
 
 def make_panel(k=2, t=3, m=1, seed=0):
@@ -196,23 +197,38 @@ def test_load_panel_bad_counts(tmp_path):
         load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
 
 
-def test_panel_write_load_write_is_byte_fixpoint(tmp_path):
+def test_panel_write_load_write_is_byte_fixpoint(tmp_path, monkeypatch):
     panel = make_panel(k=3, t=5, m=2, seed=11)
     write_panel(panel, tmp_path / "w1.csv", tmp_path / "c1.csv")
-    loaded = load_panel(tmp_path / "w1.csv", tmp_path / "c1.csv")
-    write_panel(loaded, tmp_path / "w2.csv", tmp_path / "c2.csv")
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
-    assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
+    for _ in each_block_size(monkeypatch):
+        loaded = load_panel(tmp_path / "w1.csv", tmp_path / "c1.csv")
+        write_panel(loaded, tmp_path / "w2.csv", tmp_path / "c2.csv")
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+        assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
 
 
-def test_load_panel_row_order_irrelevant(tmp_path):
+def test_load_panel_row_order_irrelevant(tmp_path, monkeypatch):
     panel = make_panel(k=2, t=2, m=2, seed=3)
     write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
     lines = (tmp_path / "w.csv").read_text().splitlines()
     shuffled = [lines[0]] + lines[:0:-1]
     (tmp_path / "w.csv").write_text("\n".join(shuffled) + "\n")
-    loaded = load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    for _ in each_block_size(monkeypatch):
+        loaded = load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+        np.testing.assert_array_equal(loaded.weather, panel.weather)
+
+
+def test_load_panel_peak_memory_per_weather_row(tmp_path):
+    # 200,000 weather rows span four of the default 65,536-row blocks.  A
+    # whole-file structured array alone takes 32 bytes a row, and reading
+    # into one peaked at 84; the blocks keep each row's ids and value
+    k, t, m = 200, 500, 2
+    panel = make_panel(k=k, t=t, m=m)
+    write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
+    loaded, peak = traced_peak(lambda: load_panel(tmp_path / "w.csv", tmp_path / "c.csv"))
     np.testing.assert_array_equal(loaded.weather, panel.weather)
+    np.testing.assert_array_equal(loaded.counts, panel.counts)
+    assert peak <= 50 * k * t * m, peak / (k * t * m)
 
 
 # ---------------------------------------------------------------- split

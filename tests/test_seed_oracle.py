@@ -69,7 +69,7 @@ from graphcp.panel import (
     write_panel,
 )
 from graphcp.qrf import ForestConfig, fit_forest
-from tests.support import forest_debug_dict, forest_weights
+from tests.support import each_block_size, forest_debug_dict, forest_weights
 from tests.test_conformal import small_setup
 
 _LEVEL_SLACK = 1e-9
@@ -1037,14 +1037,16 @@ def crlf(lines):
 
 
 @pytest.mark.parametrize("edit", [shuffled, with_blank_lines, quoted, padded, crlf])
-def test_load_panel_matches_oracle_on_reformatted_files(tmp_path, edit):
+def test_load_panel_matches_oracle_on_reformatted_files(tmp_path, monkeypatch, edit):
     panel = special_panel(3, 3, 6, 2)
     write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
     rewrite(tmp_path / "w.csv", edit)
     rewrite(tmp_path / "c.csv", edit)
-    loaded = load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
-    assert_same_panel(loaded, oracle_load_panel(tmp_path / "w.csv", tmp_path / "c.csv"))
-    np.testing.assert_array_equal(bits(loaded.weather), bits(panel.weather))
+    expected = oracle_load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+    for _ in each_block_size(monkeypatch):
+        loaded = load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+        assert_same_panel(loaded, expected)
+        np.testing.assert_array_equal(bits(loaded.weather), bits(panel.weather))
 
 
 def replace_row(index, text):
@@ -1101,18 +1103,46 @@ PANEL_DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("which, edit, expected", PANEL_DEFECTS)
-def test_load_panel_defects_raise_oracle_class(tmp_path, which, edit, expected):
+def defect_fixture(tmp_path):
+    """The valid K=2, T=3, M=2 panel PANEL_DEFECTS edits: 12 weather rows, 6 count rows."""
     rng = np.random.default_rng(9)
     panel = PanelDataset.build(rng.normal(size=(2, 3, 2)), rng.poisson(2.0, size=(2, 3)))
     write_panel(panel, tmp_path / "w.csv", tmp_path / "c.csv")
+
+
+@pytest.mark.parametrize("which, edit, expected", PANEL_DEFECTS)
+def test_load_panel_defects_raise_oracle_class(tmp_path, monkeypatch, which, edit, expected):
+    defect_fixture(tmp_path)
     rewrite(tmp_path / f"{which}.csv", edit)
     with pytest.raises(expected) as oracle_error:
         oracle_load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
     assert type(oracle_error.value) is expected
-    with pytest.raises(expected) as error:
-        load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
-    assert type(error.value) is expected
+    # the files are read in blocks; a boundary must not change the verdict
+    for block_rows in each_block_size(monkeypatch):
+        with pytest.raises(expected) as error:
+            load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+        assert type(error.value) is expected, block_rows
+
+
+@pytest.mark.parametrize(
+    "text, named", [("1,x,0,1.5", "at row 8,"), ("1,2,0", "at row 9;")], ids=["token", "short"]
+)
+def test_parse_error_in_a_later_block_names_the_files_data_row(
+    tmp_path, monkeypatch, text, named
+):
+    # data row 9 of 12, after a blank line that is not a data row.  loadtxt
+    # numbers a bad token's row from 0 and a short row's from 1, counting from
+    # the start of its own call; at 1, 2 and 5 rows a block that call reads a
+    # later block, and the message must still name the file's row
+    defect_fixture(tmp_path)
+    rewrite(tmp_path / "w.csv", lambda lines: lines[:3] + [""] + lines[3:9] + [text] + lines[10:])
+    messages = []
+    for _ in each_block_size(monkeypatch):
+        with pytest.raises(MalformedRow) as error:
+            load_panel(tmp_path / "w.csv", tmp_path / "c.csv")
+        messages.append(str(error.value))
+    assert named in messages[-1]
+    assert messages == messages[-1:] * len(messages)
 
 
 def test_count_beyond_int64_is_malformed(tmp_path):
